@@ -1,112 +1,40 @@
-"""Simulation inner loops: a numba-compiled kernel with a pure-numpy fallback.
+"""The co-simulation kernel: plant and observer advanced as one linear system.
 
-The plant/observer recurrence is inherently sequential in k, which makes it
-the one Python-loop-bound hot spot in the package (the linear-algebra work
-elsewhere is LAPACK-bound and gains nothing from JIT). Backend selection:
-
-* ``PIOBS_BACKEND=numpy``  force the pure-numpy loop
-* ``PIOBS_BACKEND=numba``  require the JIT kernel (error if numba is missing)
-* unset or ``auto``        use numba when importable, else numpy
-
-Both backends run the same statements in the same order, so results agree to
-floating-point noise; ``benchmarks/bench_sim.py`` compares them.
+The stacked state z = [x; xhat; v] obeys z(k+1) = Phi z(k) + Gamma u(k) with
+Phi = [[A, 0, 0], [LC, A - LC, F], [C, -C, I]] and Gamma u = [Bu; Bu; 0]. One
+matmul writes the input term into the output rows; each step then adds Phi z(k)
+in place. The overflow guard runs once per block of rows, and its first row
+over the limit is exactly the stepwise abort step.
 """
-
-import os
 
 import numpy as np
 
-from .errors import InputError
-
-BACKEND_ENV_VAR = "PIOBS_BACKEND"
-
-_NUMBA_KERNEL = None
-_NUMBA_FAILED = False
+#: Rows advanced between two overflow checks.
+_BLOCK = 256
 
 
-def _sim_loop(A, B, C, A_LC, L, F, U, x0, xhat0, v0, limit):
-    """Advance plant and observer over the whole horizon.
+def simulate(A, B, C, L, F, U, x0, xhat0, v0, limit):
+    """Return ``(X, Xhat, V, abort_step)``, column views of one stacked array.
 
-    Returns the state, estimate and integrator histories plus the first step
-    at which any state norm exceeded ``limit`` (-1 if none did).
+    ``abort_step`` is the first k whose state has an entry above ``limit`` in
+    magnitude, or -1 for a clean run.
     """
-    H = U.shape[0]
-    n = A.shape[0]
-    p = C.shape[0]
-    X = np.empty((H + 1, n))
-    Xh = np.empty((H + 1, n))
-    V = np.empty((H + 1, p))
-    x = x0.copy()
-    xh = xhat0.copy()
-    v = v0.copy()
-    X[0] = x
-    Xh[0] = xh
-    V[0] = v
-    for k in range(H):
-        u = U[k]
-        bu = np.dot(B, u)
-        y = np.dot(C, x)
-        innovation = y - np.dot(C, xh)
-        xh_next = np.dot(A_LC, xh) + np.dot(L, y) + bu + np.dot(F, v)
-        v = v + innovation
-        xh = xh_next
-        x = np.dot(A, x) + bu
-        X[k + 1] = x
-        Xh[k + 1] = xh
-        V[k + 1] = v
-        worst = max(np.abs(x).max(), np.abs(xh).max(), np.abs(v).max())
-        if worst > limit:
-            return X, Xh, V, k + 1
-    return X, Xh, V, -1
-
-
-def resolve_backend(requested=None):
-    """Decide which backend to use; honors the env flag unless overridden."""
-    choice = requested or os.environ.get(BACKEND_ENV_VAR, "auto")
-    choice = choice.lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise InputError(
-            f"unknown simulation backend {choice!r}; use 'numba', 'numpy' or 'auto'"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if _numba_kernel() is None:
-        if choice == "numba":
-            raise InputError("numba backend requested but numba is not importable")
-        return "numpy"
-    return "numba"
-
-
-def active_backend():
-    """The backend :func:`simulate` would use right now."""
-    return resolve_backend()
-
-
-def _numba_kernel():
-    """Compile (once) and return the numba version of the loop, or None."""
-    global _NUMBA_KERNEL, _NUMBA_FAILED
-    if _NUMBA_KERNEL is not None:
-        return _NUMBA_KERNEL
-    if _NUMBA_FAILED:
-        return None
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_FAILED = True
-        return None
-    _NUMBA_KERNEL = numba.njit(cache=True)(_sim_loop)
-    return _NUMBA_KERNEL
-
-
-def simulate(A, B, C, L, F, U, x0, xhat0, v0, limit, backend=None):
-    """Run the co-simulation loop on the selected backend.
-
-    All matrix arguments are promoted to contiguous float64. Returns
-    ``(X, Xhat, V, abort_step)`` where ``abort_step`` is -1 for a clean run.
-    """
-    A, B, C, L, F, U = (np.ascontiguousarray(M, dtype=float) for M in (A, B, C, L, F, U))
-    x0, xhat0, v0 = (np.ascontiguousarray(v, dtype=float) for v in (x0, xhat0, v0))
-    A_LC = np.ascontiguousarray(A - L @ C)
-    which = resolve_backend(backend)
-    kernel = _numba_kernel() if which == "numba" else _sim_loop
-    return kernel(A, B, C, A_LC, L, F, U, x0, xhat0, v0, float(limit))
+    A, B, C, L, F, U = (np.asarray(M, dtype=float) for M in (A, B, C, L, F, U))
+    n, p, H = A.shape[0], C.shape[0], U.shape[0]
+    LC = L @ C
+    step = np.block([[A, np.zeros((n, n + p))], [LC, A - LC, F], [C, -C, np.eye(p)]]).dot
+    Z = np.zeros((H + 1, 2 * n + p))
+    Z[0] = np.concatenate([x0, xhat0, v0])
+    Z[1:, :n] = Z[1:, n:2 * n] = U @ B.T
+    abort = -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, H + 1, _BLOCK):
+            prev = Z[start - 1]
+            for z in Z[start:start + _BLOCK]:
+                z += step(prev)
+                prev = z
+            over = np.abs(Z[start:start + _BLOCK]).max(axis=1) > limit
+            if over.any():
+                abort = start + int(np.argmax(over))
+                break
+    return Z[:, :n], Z[:, n:2 * n], Z[:, 2 * n:], abort

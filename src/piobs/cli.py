@@ -47,8 +47,8 @@ def _parse_vector(text):
 def _add_design_flags(p):
     p.add_argument("--pole", action="append", type=_parse_complex, default=None,
                    metavar="Z", help="target observer pole (repeatable; complex "
-                   "accepted as e.g. 0.3+0.1j); defaults to poles spread over "
-                   "[0.1, 0.5]")
+                   "accepted as e.g. 0.3+0.1j); defaults to a conjugate-closed "
+                   "fan of poles at magnitude 0.3")
     p.add_argument("--phi-scalar", type=float, default=None, metavar="S",
                    help="integral-loop matrix phi = S * identity (default 0.5)")
     p.add_argument("--phi-file", default=None, metavar="FILE",

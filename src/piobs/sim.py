@@ -4,7 +4,9 @@ Steps the recurrences x(k+1) = A x + B u, y = C x for the plant and
 xhat(k+1) = (A - LC) xhat + L y + B u + F v, v(k+1) = v + (y - C xhat) for
 the observer, and records the estimation error e = xhat - x alongside the
 integrator state. The input u cancels in the error recurrence, so [e; v]
-evolves under the augmented matrix regardless of the excitation.
+evolves under the augmented matrix regardless of the excitation. Both
+recurrences run as one stacked linear system in :mod:`piobs._kernels`;
+``step_plant`` and ``step_observer`` are the per-step reference it matches.
 """
 
 from dataclasses import dataclass, field
@@ -165,7 +167,7 @@ def step_observer(system, observer, xhat, v, y, u):
     return xhat_next, v + y - system.C @ xhat
 
 
-def run_simulation(system, observer, config=None, backend=None):
+def run_simulation(system, observer, config=None):
     """Simulate plant and observer together over the configured horizon.
 
     Aborts with :class:`SimulationDivergenceError` (identifying the step)
@@ -182,7 +184,7 @@ def run_simulation(system, observer, config=None, backend=None):
 
     X, Xh, V, abort = _kernels.simulate(
         system.A, system.B, system.C, observer.L, observer.F,
-        U, x0, xhat0, v0, OVERFLOW_LIMIT, backend=backend,
+        U, x0, xhat0, v0, OVERFLOW_LIMIT,
     )
     if abort >= 0:
         worst = max(
