@@ -8,7 +8,6 @@ the state space into an observable block and an unobservable block.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import DimensionError, NumericalError
@@ -256,6 +255,8 @@ def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
             C1=C.copy(),
             q=n,
         )
+    import scipy.linalg
+
     _, _, Vt = scipy.linalg.svd(obs)
     V = Vt.T
     # Fix column signs (largest entry positive) so the basis is deterministic.

@@ -197,7 +197,7 @@ def cmd_design(args):
             print(reportio.dumps_doc(doc))
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    verification = design_mod.verify_design(observer, config.margin)
+    verification = observer.verification
     doc = reportio.design_report_doc(observer, verification)
     if args.out:
         reportio.write_doc(doc, args.out)

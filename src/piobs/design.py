@@ -13,7 +13,6 @@ then similar to block-triangular [[A + KC, 0], [-C, phi]], which is what
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis, linalg
 from .errors import (
@@ -169,9 +168,13 @@ def _single_input_gain(M, b, coeffs):
 def _real_block_diag(targets):
     """Real block-diagonal matrix whose spectrum is the given pole multiset."""
     reals, pairs = linalg.group_conjugate_roots(targets)
-    blocks = [np.array([[r]]) for r in reals]
-    blocks += [np.array([[z.real, z.imag], [-z.imag, z.real]]) for z in pairs]
-    return scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+    r = len(reals)
+    D = np.zeros((r + 2 * len(pairs),) * 2)
+    D[range(r), range(r)] = reals
+    for i, z in enumerate(pairs):
+        j = r + 2 * i
+        D[j:j + 2, j:j + 2] = [[z.real, z.imag], [-z.imag, z.real]]
+    return D
 
 
 def _sylvester_candidates(A, C, targets, rng, attempts=8):
@@ -191,6 +194,8 @@ def _sylvester_candidates(A, C, targets, rng, attempts=8):
     gap = np.min(np.abs(vals[:, None] - eigA[None, :]))
     if gap <= 1e-8 * max(scale, float(np.max(np.abs(eigA)))):
         return
+    import scipy.linalg
+
     Ad, Bd = A.T, C.T
     n, p = Bd.shape
     blocks = _real_block_diag(targets)
@@ -415,7 +420,10 @@ class PiObserver:
 
     ``L`` and ``F`` are the observer gains; ``K``, ``T``, ``X``, ``phi`` and
     ``lambda_block`` record the intermediates so the design can be re-verified
-    or reproduced later.
+    or reproduced later. ``verification`` holds the :func:`verify_design`
+    report that :func:`design_pi_observer` gated the design on; it is ``None``
+    for an observer built any other way (read back from a report, or made
+    with ``dataclasses.replace``), since its gains were never checked.
     """
 
     system: SystemRealization
@@ -429,6 +437,9 @@ class PiObserver:
     assigned_poles: tuple
     inherited_poles: tuple
     config: DesignConfig = field(default_factory=DesignConfig, repr=False)
+    verification: "VerificationReport | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def augmented(self):
         """The (n+p) x (n+p) matrix governing the error and integral states."""
@@ -538,7 +549,8 @@ def design_pi_observer(system, config=None):
     exists, :class:`InputError` for invalid configuration, and
     :class:`NumericalError` (naming the failing step) when a numerical stage
     breaks down. The returned observer has already passed the algebraic
-    checks of :func:`verify_design` (Schur margin, similarity, phi identity).
+    checks of :func:`verify_design` (Schur margin, similarity, phi identity);
+    that report is its ``verification`` attribute.
     """
     if not isinstance(system, SystemRealization):
         system = SystemRealization(*system)
@@ -590,4 +602,5 @@ def design_pi_observer(system, config=None):
             + ", ".join(failed)
             + f" (spectral radius {report.spectral_radius:.9g})"
         )
+    object.__setattr__(observer, "verification", report)
     return observer

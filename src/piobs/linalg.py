@@ -3,11 +3,13 @@
 All operations work on plain numpy float64 arrays (row-major), are pure
 functions of their inputs and never mutate arguments, so callers may share
 values freely across threads.
+
+scipy is imported inside the functions that call it, so that importing
+piobs loads numpy alone and a process that never ranks, solves or pairs
+never pays for ``scipy.linalg`` or ``scipy.optimize``.
 """
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DimensionError,
@@ -107,6 +109,8 @@ def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
         return 0
     if not np.all(np.isfinite(arr)):
         raise InputError("numerical_rank: matrix contains non-finite entries")
+    import scipy.linalg
+
     sv = scipy.linalg.svdvals(arr)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
@@ -187,6 +191,8 @@ def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
     rcond = reciprocal_condition(M)
     if not np.isfinite(rcond) or rcond < tol_cond:
         raise SingularMatrixError("matrix is singular or near-singular", rcond=rcond)
+    import scipy.linalg
+
     lu, piv = scipy.linalg.lu_factor(M)
     Y = scipy.linalg.lu_solve((lu, piv), rhs_arr)
     Y += scipy.linalg.lu_solve((lu, piv), rhs_arr - M @ Y)
@@ -195,6 +201,8 @@ def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
 
 def reciprocal_condition(M):
     """Reciprocal 2-norm condition number (0 for exactly singular input)."""
+    import scipy.linalg
+
     sv = scipy.linalg.svdvals(M)
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0
@@ -254,10 +262,14 @@ def _pivot_columns(C, tol_rank, relax=0.25):
 
 
 def pairing_distance(a, b):
-    """Max distance of an optimal one-to-one pairing between two multisets.
+    """Largest distance within the minimum-total-distance pairing of two multisets.
 
-    Returns ``inf`` when the multisets have different sizes. Used to compare
-    spectra that should agree as multisets.
+    The pairing is the one-to-one assignment that minimises the *sum* of
+    distances (``scipy.optimize.linear_sum_assignment``, loaded on the first
+    call); the result is the largest distance inside it. That is not the
+    bottleneck pairing, which would minimise the largest distance, and can
+    exceed it. Returns ``inf`` when the multisets have different sizes. Used
+    to compare spectra that should agree as multisets.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
@@ -265,6 +277,8 @@ def pairing_distance(a, b):
         return float("inf")
     if a.size == 0:
         return 0.0
+    import scipy.optimize
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

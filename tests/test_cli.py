@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from piobs import cli, reportio
+from piobs import cli, design, reportio
 
 
 @pytest.fixture
@@ -74,6 +74,22 @@ class TestDesign:
             assert cli.main(["design", worked_file, "--seed", "0", "--out", out]) == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+    def test_verifies_each_design_once(self, tmp_path, worked_file, monkeypatch):
+        calls = []
+        original = design.verify_design
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(design, "verify_design", counting)
+        out = design_worked(tmp_path, worked_file)
+        assert len(calls) == 1
+        # The bytes a second, separate verification of the same observer gives.
+        observer, margin = calls[0]
+        expected = reportio.design_report_doc(observer, original(observer, margin))
+        assert open(out, "rb").read() == (reportio.dumps_doc(expected) + "\n").encode()
 
     def test_usage_error_exits_3(self, worked_file):
         with pytest.raises(SystemExit) as err:

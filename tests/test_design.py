@@ -243,6 +243,7 @@ class TestVerifyDesign:
     def test_fresh_design_passes_all_checks(self, worked_observer):
         report = verify_design(worked_observer)
         assert report.passed
+        assert worked_observer.verification == report
         assert report.similarity_residual <= 1e-12
         assert report.phi_residual <= 1e-12
         assert report.spectral_radius == pytest.approx(0.3, abs=1e-9)
@@ -254,6 +255,7 @@ class TestVerifyDesign:
         from dataclasses import replace
 
         bad = replace(worked_observer, F=worked_observer.F + 0.1)
+        assert bad.verification is None
         report = verify_design(bad)
         assert not report.passed
         assert not report.spectrum_ok
