@@ -210,22 +210,15 @@ def observable_dimension(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     return linalg.numerical_rank(observability_matrix(A, C), tol_rank)
 
 
-def is_observable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """Full observability of (A, C): PBH rank n at every eigenvalue.
+def observability_verdict(classifications, q):
+    """Full observability from :func:`classify_eigenvalues` output and stack rank q.
 
-    Cross-checked against the rank of the observability stack; a disagreement
-    means the pair is numerically borderline and is reported as an error
-    rather than silently resolved.
+    A disagreement between the PBH test and the stack rank means the pair is
+    numerically borderline and is reported as an error rather than silently
+    resolved.
     """
-    A, C = _check_pair(A, C)
-    if not np.any(C):
-        raise ValueError("C must be nonzero to test observability")
-    n = A.shape[0]
-    eig = linalg.eigenvalues(A)
-    reps, _ = _cluster_representatives(eig)
-    pbh_verdict = all(pbh_rank_at(A, C, rep, tol_rank) == n for rep in reps)
-    stack_verdict = observable_dimension(A, C, tol_rank) == n
-    if pbh_verdict != stack_verdict:
+    pbh_verdict = all(c.observable for c in classifications)
+    if pbh_verdict != (q == len(classifications)):
         raise NumericalError(
             "observability is numerically ambiguous: the PBH test and the "
             "observability-stack rank disagree at the current tolerance"
@@ -233,11 +226,17 @@ def is_observable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     return pbh_verdict
 
 
-def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """Observability decomposition of (A, C) via an orthogonal staircase basis.
+def is_observable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
+    """Full observability of (A, C): PBH and stack-rank tests that must agree."""
+    cls = classify_eigenvalues(A, C, tol_rank)
+    return observability_verdict(cls, observable_dimension(A, C, tol_rank))
 
-    The observable coordinates span the row space of the observability stack
-    and the unobservable coordinates its null space (computed from one SVD).
+
+def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
+    """Observability decomposition of (A, C) via the SVD of the observability stack.
+
+    The observable coordinates span the row space of the stack (q is its
+    numerical rank) and the unobservable coordinates its null space.
     Observable pairs get the trivial decomposition q = n, T_k = I.
     """
     A, C = _check_pair(A, C)

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import analysis
+from . import analysis, linalg
 from . import design as design_mod
 from . import reportio, sim
 from .errors import InputError, NotDetectableError, PiobsError, format_eigenvalue
@@ -57,10 +57,10 @@ def _add_design_flags(p):
                    help="JSON file holding the free lambda block")
     p.add_argument("--margin", type=float, default=design_mod.DEFAULT_MARGIN,
                    help="stability margin: require spectral radius < 1 - margin")
-    p.add_argument("--tol-rank", type=float, default=None,
-                   help="relative rank tolerance (default 1e-9)")
-    p.add_argument("--tol-eig", type=float, default=None,
-                   help="eigenvalue comparison tolerance (default 1e-8)")
+    p.add_argument("--tol-rank", type=float, default=linalg.DEFAULT_TOL_RANK,
+                   help="relative rank tolerance (default %(default)g)")
+    p.add_argument("--tol-eig", type=float, default=linalg.DEFAULT_TOL_EIG,
+                   help="eigenvalue comparison tolerance (default %(default)g)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized placement steps")
 
@@ -76,7 +76,8 @@ def build_parser():
                        "detectability and observability, summarize the "
                        "observability decomposition.")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--tol-rank", type=float, default=None)
+    p.add_argument("--tol-rank", type=float, default=linalg.DEFAULT_TOL_RANK,
+                   help="relative rank tolerance (default %(default)g)")
     p.add_argument("--out", default=None, help="write the analysis JSON here")
     p.set_defaults(func=cmd_analyze)
 
@@ -136,28 +137,20 @@ def _config_from_args(args):
         lam = reportio.matrix_from_doc(
             {"lambda": reportio._load_json(args.lambda_file)}, "lambda"
         )
-    kwargs = {}
-    if args.tol_rank is not None:
-        kwargs["tol_rank"] = args.tol_rank
-    if args.tol_eig is not None:
-        kwargs["tol_eig"] = args.tol_eig
     return design_mod.DesignConfig(
         target_poles=tuple(args.pole) if args.pole else None,
         phi=phi,
         lambda_block=lam,
         margin=args.margin,
+        tol_rank=args.tol_rank,
+        tol_eig=args.tol_eig,
         seed=args.seed,
-        **kwargs,
     )
 
 
-def _tol_rank(args):
-    return args.tol_rank if getattr(args, "tol_rank", None) is not None else 1e-9
-
-
 def cmd_analyze(args):
-    system = reportio.load_system(args.system, tol_rank=_tol_rank(args))
-    doc = reportio.analysis_report_doc(system, tol_rank=_tol_rank(args))
+    system = reportio.load_system(args.system, tol_rank=args.tol_rank)
+    doc = reportio.analysis_report_doc(system, tol_rank=args.tol_rank)
     name = system.name or args.system
     print(f"system {name}: n={system.n}, m={system.m}, p={system.p}")
     print(f"{'eigenvalue':>24}  {'magnitude':>12}  {'stable':>6}  {'observable':>10}")
@@ -185,7 +178,7 @@ def cmd_analyze(args):
 
 
 def cmd_design(args):
-    system = reportio.load_system(args.system, tol_rank=_tol_rank(args))
+    system = reportio.load_system(args.system, tol_rank=args.tol_rank)
     config = _config_from_args(args)
     try:
         observer = design_mod.design_pi_observer(system, config)

@@ -277,7 +277,6 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
     A = linalg.as_square(A, "A")
     C = linalg.as_matrix(C, "C")
     n = A.shape[0]
-    p = C.shape[0]
     if C.shape[1] != n:
         raise DimensionError(f"C has {C.shape[1]} columns, expected n={n}")
     targets = tuple(complex(z) for z in np.atleast_1d(np.asarray(target_poles, dtype=complex)))
@@ -289,7 +288,12 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
         raise NotObservableError(
             "pole placement requires an observable pair (A, C); the PBH test fails"
         )
+    return _placement_search(A, C, targets, seed)
 
+
+def _placement_search(A, C, targets, seed):
+    """The strategy search of :func:`place_poles` on a checked observable pair."""
+    p, n = C.shape
     coeffs = linalg.poly_from_roots(targets)
     rng = np.random.default_rng(seed)
 
@@ -344,9 +348,10 @@ class GainPlan:
 def stabilization_plan(A, C, config=None):
     """Gain K making A + KC Schur stable, with assigned/inherited pole split.
 
-    Observable pairs get all n poles placed at the targets. Detectable but
-    unobservable pairs get q poles placed on the observable block of the
-    staircase decomposition while the (necessarily stable) unobservable
+    One PBH classification and one observability decomposition serve the
+    whole plan. Observable pairs get all n poles placed at the targets.
+    Detectable but unobservable pairs get q poles placed on the observable
+    block of the decomposition while the (necessarily stable) unobservable
     spectrum is inherited unchanged.
     """
     config = config or DesignConfig()
@@ -356,12 +361,14 @@ def stabilization_plan(A, C, config=None):
     verdict = analysis.is_detectable(A, C, config.tol_rank)
     if not verdict:
         raise NotDetectableError(verdict.witnesses)
-    q = analysis.observable_dimension(A, C, config.tol_rank)
+    dec = analysis.kalman_decompose(A, C, config.tol_rank)
+    q = dec.q
     targets = config.resolved_target_poles(q)
     if q == n:
-        K = place_poles(A, C, targets, tol_rank=config.tol_rank, seed=config.seed)
+        # Raises when the PBH classification disagrees with the stack rank.
+        analysis.observability_verdict(verdict.classifications, q)
+        K = _placement_search(A, C, targets, config.seed)
         return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=())
-    dec = analysis.kalman_decompose(A, C, config.tol_rank)
     K1 = place_poles(dec.A11, dec.C1, targets, tol_rank=config.tol_rank,
                      seed=config.seed)
     K = dec.T_k @ np.vstack([K1, np.zeros((n - q, p))])

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import analysis, linalg
-from .design import DesignConfig, PiObserver, VerificationReport
+from .design import DEFAULT_MARGIN, DesignConfig, PiObserver, VerificationReport
 from .errors import DimensionError, InputError
 from .systems import SystemRealization
 
@@ -307,7 +307,7 @@ def observer_from_report(system, doc):
         target_poles=assigned or None,
         phi=phi,
         lambda_block=lam,
-        margin=float(cfg.get("margin", 1e-6)),
+        margin=float(cfg.get("margin", DEFAULT_MARGIN)),
         tol_rank=float(cfg.get("tol_rank", linalg.DEFAULT_TOL_RANK)),
         tol_eig=float(cfg.get("tol_eig", linalg.DEFAULT_TOL_EIG)),
         seed=int(cfg.get("seed", 0)),
@@ -326,7 +326,8 @@ def analysis_report_doc(system, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Run the structural analysis of a system and assemble its document."""
     A, C = system.A, system.C
     verdict = analysis.is_detectable(A, C, tol_rank)
-    q = analysis.observable_dimension(A, C, tol_rank)
+    dec = analysis.kalman_decompose(A, C, tol_rank)
+    q = dec.q
     doc = {
         "format": ANALYSIS_FORMAT,
         "version": FORMAT_VERSION,
@@ -347,14 +348,12 @@ def analysis_report_doc(system, tol_rank=linalg.DEFAULT_TOL_RANK):
         "tolerances": {"tol_rank": tol_rank},
     }
     if q < system.n:
-        dec = analysis.kalman_decompose(A, C, tol_rank)
         recon = float(np.max(np.abs(dec.reconstruct() - A)))
         unobs = dec.unobservable_eigenvalues
         doc["decomposition"] = {
             "q": dec.q,
             "unobservable_eigenvalues": spectrum_to_doc(unobs),
-            "a22_schur_stable": bool(analysis.is_schur_stable(dec.A22))
-            if dec.A22.size else True,
+            "a22_schur_stable": bool(analysis.is_schur_stable(dec.A22)),
             "reconstruction_residual": recon,
         }
     return doc

@@ -4,6 +4,7 @@ import pytest
 import gen_systems as gen
 import oracles
 from piobs import analysis, linalg
+from piobs.errors import NumericalError
 
 
 def diag_pair(c_row):
@@ -123,6 +124,12 @@ class TestObservability:
             A, C = gen.random_integer_pair(rng, n, p)
             exact = oracles.exact_observability_rank(A.tolist(), C.tolist()) == n
             assert analysis.is_observable(A, C) == exact
+
+    def test_pbh_full_but_stack_deficient_is_ambiguous(self):
+        # The 1e-8 split passes the PBH rank test at one merged cluster but
+        # leaves the observability stack numerically rank one.
+        with pytest.raises(NumericalError, match="numerically ambiguous"):
+            analysis.is_observable(np.diag([3.0, 3.0 + 1e-8]), [[1.0, 1.0]])
 
 
 class TestKalmanDecomposition:

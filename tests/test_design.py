@@ -20,7 +20,7 @@ from piobs.design import (
     default_target_poles,
     stabilization_plan,
 )
-from piobs.errors import DimensionError, InputError, SingularMatrixError
+from piobs.errors import DimensionError, InputError, NumericalError, SingularMatrixError
 
 
 class TestPlacePoles:
@@ -144,6 +144,43 @@ class TestDesignPipeline:
         with pytest.raises(NotDetectableError) as err:
             design_pi_observer(system)
         assert err.value.witnesses == pytest.approx([2.0])
+
+    def test_stack_full_but_pbh_deficient_is_ambiguous(self):
+        # At tol_rank 3e-10 the stack of C = [1, 10] is full rank while the
+        # PBH matrix at the merged eigenvalue cluster {0.5, 0.5 + 1e-8} is not.
+        system = SystemRealization(
+            A=np.diag([0.5, 0.5 + 1e-8]), B=np.ones((2, 1)), C=[[1.0, 10.0]]
+        )
+        with pytest.raises(NumericalError, match="numerically ambiguous"):
+            design_pi_observer(system, DesignConfig(tol_rank=3e-10))
+
+    @pytest.mark.parametrize(
+        "A, C, pbh_calls, stack_builds",
+        [
+            # observable, three distinct eigenvalues: one PBH rank per
+            # eigenvalue and one observability stack
+            (np.diag([0.5, 1.2, -0.3]), [[1.0, 1.0, 1.0]], 3, 1),
+            # detectable, unobservable: two PBH ranks and one stack for the
+            # full pair, one of each for the observable block (A11, C1)
+            (np.diag([2.0, 0.3]), [[1.0, 0.0]], 3, 2),
+        ],
+        ids=["observable", "unobservable"],
+    )
+    def test_structural_analysis_runs_once_per_pair(
+        self, monkeypatch, A, C, pbh_calls, stack_builds
+    ):
+        calls = {"pbh_rank_at": 0, "observability_matrix": 0}
+        for name in calls:
+            original = getattr(analysis, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+        system = SystemRealization(A=A, B=np.ones((A.shape[0], 1)), C=C)
+        design_pi_observer(system)
+        assert calls == {"pbh_rank_at": pbh_calls, "observability_matrix": stack_builds}
 
     def test_no_random_gain_pair_stabilizes_an_undetectable_system(self, rng):
         # Smoke probe of necessity: for a hidden unstable mode, no (L, F)

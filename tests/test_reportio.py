@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ from piobs import (
     verify_design,
 )
 from piobs.errors import DimensionError, InputError, RankDeficiencyError
+
+#: A detectable but unobservable 4-state plant and an observable 5-state
+#: plant, with the files ``piobs design <stem>.system.json --seed 5 --out``
+#: and ``piobs analyze <stem>.system.json --out`` wrote for them. Later
+#: versions must reproduce those files byte for byte.
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_STEMS = ("unobservable4", "observable5")
 
 
 class TestJsonEmission:
@@ -121,6 +129,14 @@ class TestDesignReports:
             )
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("stem", GOLDEN_STEMS)
+    def test_matches_golden_bytes(self, stem):
+        system = reportio.load_system(DATA / f"{stem}.system.json")
+        observer = design_pi_observer(system, DesignConfig(seed=5))
+        doc = reportio.design_report_doc(observer, observer.verification)
+        golden = (DATA / f"{stem}.design-seed5.json").read_text(encoding="utf-8")
+        assert reportio.dumps_doc(doc) + "\n" == golden
+
 
 class TestAnalysisDoc:
     def test_unobservable_system_gets_decomposition_summary(self):
@@ -140,6 +156,13 @@ class TestAnalysisDoc:
         doc = reportio.analysis_report_doc(system)
         assert doc["detectable"] is False
         assert doc["witnesses"] == [[2.0, 0.0]]
+
+    @pytest.mark.parametrize("stem", GOLDEN_STEMS)
+    def test_matches_golden_bytes(self, stem):
+        system = reportio.load_system(DATA / f"{stem}.system.json")
+        doc = reportio.analysis_report_doc(system)
+        golden = (DATA / f"{stem}.analysis.json").read_text(encoding="utf-8")
+        assert reportio.dumps_doc(doc) + "\n" == golden
 
 
 class TestTraceCsv:
