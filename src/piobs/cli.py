@@ -183,7 +183,7 @@ def cmd_design(args):
     try:
         observer = design_mod.design_pi_observer(system, config)
     except NotDetectableError as exc:
-        doc = reportio.infeasible_report_doc(system, exc.witnesses)
+        doc = reportio.infeasible_report_doc(system, exc.witnesses, config.tol_rank)
         if args.out:
             reportio.write_doc(doc, args.out)
         else:
@@ -241,7 +241,8 @@ def cmd_verify(args):
     system = reportio.load_system(args.system)
     doc = reportio.load_report(args.report)
     if doc["verdict"] == "infeasible":
-        verdict = analysis.is_detectable(system.A, system.C)
+        tol_rank = doc.get("tolerances", {}).get("tol_rank", linalg.DEFAULT_TOL_RANK)
+        verdict = analysis.is_detectable(system.A, system.C, tol_rank)
         if not verdict:
             print("infeasible verdict confirmed: pair (A, C) is not detectable")
             return EXIT_INFEASIBLE

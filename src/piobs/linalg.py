@@ -5,8 +5,10 @@ functions of their inputs and never mutate arguments, so callers may share
 values freely across threads.
 
 scipy is imported inside the functions that call it, so that importing
-piobs loads numpy alone and a process that never ranks, solves or pairs
-never pays for ``scipy.linalg`` or ``scipy.optimize``.
+piobs loads numpy alone and a process that never ranks or solves never pays
+for ``scipy.linalg``. Spectrum pairing is numpy code, a port of scipy's
+``linear_sum_assignment``, so no piobs code path loads scipy's optimization
+package.
 """
 
 import numpy as np
@@ -265,11 +267,27 @@ def pairing_distance(a, b):
     """Largest distance within the minimum-total-distance pairing of two multisets.
 
     The pairing is the one-to-one assignment that minimises the *sum* of
-    distances (``scipy.optimize.linear_sum_assignment``, loaded on the first
-    call); the result is the largest distance inside it. That is not the
+    distances; the result is the largest distance inside it. That is not the
     bottleneck pairing, which would minimise the largest distance, and can
     exceed it. Returns ``inf`` when the multisets have different sizes. Used
     to compare spectra that should agree as multisets.
+
+    The value equals what scipy's ``linear_sum_assignment`` gives, bit for
+    bit, without loading scipy. It comes from one of two routes:
+
+    * **Row-minimum certificate.** Values of ``b`` that are equal form one
+      class, whose columns of ``cost = |a_i - b_j|`` are identical. If every
+      row has all its minima in a single class, and no class is the minimum
+      of more rows than it has members, then taking each row's minimum is a
+      pairing of least total, and the answer is the largest row minimum.
+      The shortest-augmenting-path routine below reaches the same entries:
+      it then gives each row in turn a free column of its class at once,
+      with the dual variables still zero.
+    * **Shortest augmenting paths** (:func:`_assign_rows`), a port of
+      scipy's routine, decide every other case. Optimal pairings can tie in
+      total but not in their largest distance, so scipy's tie-break is kept:
+      for ``a = [1, 0]``, ``b = [2, 1]`` both pairings total 2 and the result
+      is 2, not 1.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
@@ -277,8 +295,79 @@ def pairing_distance(a, b):
         return float("inf")
     if a.size == 0:
         return 0.0
-    import scipy.optimize
-
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    low = cost.min(axis=1)
+    same = b[:, None] == b
+    near = same[cost.argmin(axis=1)]
+    if (np.isfinite(low).all() and np.all(near >= (cost == low[:, None]))
+            and np.all(near.sum(axis=0) <= same.sum(axis=0))):
+        return float(low.max())
+    return float(cost[np.arange(a.size), _assign_rows(cost)].max())
+
+
+def _assign_rows(cost):
+    """Column of each row in scipy's minimum-total-cost assignment of square ``cost``.
+
+    A line-for-line port of the square case of scipy's
+    ``linear_sum_assignment`` (Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016). Row ``cur`` joins along a
+    shortest augmenting path in the reduced costs
+    ``min_val + cost[i, j] - u[i] - v[j]``, evaluated in that order, and the
+    dual variables ``u``, ``v`` are updated as scipy does. The free columns
+    are scanned from the last to the first, a scanned-out column being
+    replaced by the last one still listed, and among equally near columns
+    the last unassigned one wins, else the first. So ties resolve as in
+    scipy and the assignment is scipy's.
+    """
+    if np.isnan(cost).any():
+        raise ValueError("pairing_distance: distances contain NaN")
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1)
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    for cur in range(n):
+        shortest = np.full(n, np.inf)
+        rows_seen = np.zeros(n, dtype=bool)
+        cols_seen = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)
+        left = n
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            rows_seen[i] = True
+            rem = remaining[:left]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            better = r < shortest[rem]
+            nearer = rem[better]
+            path[nearer] = i
+            shortest[nearer] = r[better]
+            reach = shortest[rem]
+            min_val = reach.min()
+            if min_val == np.inf:
+                raise ValueError("pairing_distance: no pairing of finite distance")
+            ties = np.flatnonzero(reach == min_val)
+            free = ties[row4col[rem[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            j = rem[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+        u[cur] += min_val
+        rows_seen[cur] = False
+        u[rows_seen] += min_val - shortest[col4row[rows_seen]]
+        v[cols_seen] -= min_val - shortest[cols_seen]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

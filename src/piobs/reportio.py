@@ -246,7 +246,8 @@ def design_report_doc(observer, verification):
     }
 
 
-def infeasible_report_doc(system, witnesses):
+def infeasible_report_doc(system, witnesses, tol_rank=linalg.DEFAULT_TOL_RANK):
+    """The report of a design refused as undetectable at rank tolerance ``tol_rank``."""
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
@@ -258,6 +259,7 @@ def infeasible_report_doc(system, witnesses):
         },
         "verdict": "infeasible",
         "witnesses": spectrum_to_doc(witnesses),
+        "tolerances": {"tol_rank": tol_rank},
     }
 
 
@@ -268,6 +270,9 @@ def load_report(path):
         raise InputError(f"{path}: not a design report document")
     if doc.get("verdict") not in ("feasible", "infeasible"):
         raise InputError(f"{path}: missing or invalid 'verdict'")
+    tolerances = doc.get("tolerances", {})
+    if not isinstance(tolerances, dict) or not _is_number(tolerances.get("tol_rank", 0)):
+        raise InputError(f"{path}: 'tolerances' must map 'tol_rank' to a number")
     return doc
 
 

@@ -126,6 +126,27 @@ class TestVerify:
         cli.main(["design", undetectable_file, "--out", out])
         assert cli.main(["verify", undetectable_file, out]) == 2
 
+    def test_infeasible_report_rechecked_at_its_own_tolerance(self, tmp_path):
+        # The mode at 2 is seen through C only at relative size ~5e-9: hidden
+        # at --tol-rank 1e-7, visible at the default 1e-9.
+        system = tmp_path / "faint.json"
+        system.write_text(
+            '{"A": [[0.5, 0.0], [0.0, 2.0]], "B": [[1.0], [1.0]], "C": [[1.0, 1e-8]]}'
+        )
+        out = str(tmp_path / "rep.json")
+        assert cli.main(["design", str(system), "--tol-rank", "1e-7", "--out", out]) == 2
+        assert json.loads(open(out).read())["tolerances"] == {"tol_rank": 1e-7}
+        assert cli.main(["verify", str(system), out]) == 2
+
+    def test_malformed_tolerance_exits_3(self, tmp_path, undetectable_file, capsys):
+        out = tmp_path / "rep.json"
+        cli.main(["design", undetectable_file, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        doc["tolerances"]["tol_rank"] = "tight"
+        out.write_text(json.dumps(doc))
+        assert cli.main(["verify", undetectable_file, str(out)]) == 3
+        assert "tol_rank" in capsys.readouterr().err
+
     def test_report_against_wrong_system_exits_3(self, tmp_path, worked_file,
                                                  undetectable_file):
         out = design_worked(tmp_path, worked_file)

@@ -1,8 +1,8 @@
 """Which scipy modules a fresh interpreter loads for each piobs entry point.
 
 ``import piobs`` needs numpy alone; scipy.linalg loads on the first rank,
-solve or decomposition, and scipy.optimize only on the first spectrum
-pairing, which only a design or a verification performs.
+solve or decomposition. No command loads scipy.optimize: the spectrum
+pairing that designs and verifications perform is numpy code.
 """
 
 import json
@@ -62,11 +62,16 @@ def test_analyze_and_simulate_do_not_load_scipy_optimize(tmp_path, worked_files)
     assert "scipy.optimize" not in loaded
 
 
-def test_design_loads_scipy_optimize(tmp_path, worked_files):
-    system, _ = worked_files
+@pytest.mark.parametrize("command", ["design", "verify", "batch"])
+def test_design_verify_and_batch_do_not_load_scipy_optimize(tmp_path, worked_files,
+                                                            command):
+    system, report = worked_files
+    argv = {
+        "design": ["design", system, "--out", "again.json"],
+        "verify": ["verify", system, report],
+        "batch": ["batch", system, "--out-dir", "reports"],
+    }[command]
     loaded = scipy_modules_after(
-        "from piobs import cli\n"
-        f"assert cli.main(['design', {system!r}, '--out', 'again.json']) == 0",
-        tmp_path,
+        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path
     )
-    assert "scipy.optimize" in loaded
+    assert "scipy.optimize" not in loaded
