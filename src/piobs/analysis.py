@@ -254,7 +254,7 @@ def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
             C1=C.copy(),
             q=n,
         )
-    import scipy.linalg
+    import scipy.linalg  # numpy's V differs bitwise and would change some reports
 
     _, _, Vt = scipy.linalg.svd(obs)
     V = Vt.T

@@ -194,7 +194,7 @@ def _sylvester_candidates(A, C, targets, rng, attempts=8):
     gap = np.min(np.abs(vals[:, None] - eigA[None, :]))
     if gap <= 1e-8 * max(scale, float(np.max(np.abs(eigA)))):
         return
-    import scipy.linalg
+    import scipy.linalg  # numpy has no Sylvester solver
 
     Ad, Bd = A.T, C.T
     n, p = Bd.shape

@@ -4,11 +4,12 @@ All operations work on plain numpy float64 arrays (row-major), are pure
 functions of their inputs and never mutate arguments, so callers may share
 values freely across threads.
 
-scipy is imported inside the functions that call it, so that importing
-piobs loads numpy alone and a process that never ranks or solves never pays
-for ``scipy.linalg``. Spectrum pairing is numpy code, a port of scipy's
-``linear_sum_assignment``, so no piobs code path loads scipy's optimization
-package.
+Ranks and condition numbers take numpy's singular values, which equal
+scipy's bit for bit. Only :func:`solve` needs scipy (its LU factorization),
+and imports it on first use, so importing piobs loads numpy alone and a
+process that never solves never pays for ``scipy.linalg``.
+Spectrum pairing is numpy code, a port of scipy's ``linear_sum_assignment``,
+so no piobs code path loads scipy's optimization package.
 """
 
 import numpy as np
@@ -92,12 +93,6 @@ def eigenvalues(M):
     return sort_spectrum(eig)
 
 
-def spectral_radius(M):
-    """Largest eigenvalue magnitude of a square matrix."""
-    eig = eigenvalues(M)
-    return float(np.max(np.abs(eig)))
-
-
 def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
     """Number of singular values above ``tol_rank`` times the largest one.
 
@@ -111,9 +106,7 @@ def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
         return 0
     if not np.all(np.isfinite(arr)):
         raise InputError("numerical_rank: matrix contains non-finite entries")
-    import scipy.linalg
-
-    sv = scipy.linalg.svdvals(arr)
+    sv = np.linalg.svd(arr, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol_rank * sv[0]))
@@ -193,7 +186,7 @@ def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
     rcond = reciprocal_condition(M)
     if not np.isfinite(rcond) or rcond < tol_cond:
         raise SingularMatrixError("matrix is singular or near-singular", rcond=rcond)
-    import scipy.linalg
+    import scipy.linalg  # numpy's solve differs bitwise from this LU on most systems
 
     lu, piv = scipy.linalg.lu_factor(M)
     Y = scipy.linalg.lu_solve((lu, piv), rhs_arr)
@@ -203,9 +196,7 @@ def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
 
 def reciprocal_condition(M):
     """Reciprocal 2-norm condition number (0 for exactly singular input)."""
-    import scipy.linalg
-
-    sv = scipy.linalg.svdvals(M)
+    sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0
     return float(sv[-1] / sv[0])

@@ -1,8 +1,11 @@
 """Which scipy modules a fresh interpreter loads for each piobs entry point.
 
-``import piobs`` needs numpy alone; scipy.linalg loads on the first rank,
-solve or decomposition. No command loads scipy.optimize: the spectrum
-pairing that designs and verifications perform is numpy code.
+``import piobs`` needs numpy alone, and so do ranks, condition numbers and
+traces. scipy.linalg loads for three things only: the LU solve and the
+Sylvester candidates of a design, and the basis of the Kalman decomposition
+of an unobservable pair. So ``verify``, ``simulate`` and ``analyze`` of an
+observable pair load no scipy at all. No command loads scipy.optimize: the
+spectrum pairing that designs and verifications perform is numpy code.
 """
 
 import json
@@ -75,3 +78,38 @@ def test_design_verify_and_batch_do_not_load_scipy_optimize(tmp_path, worked_fil
         f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path
     )
     assert "scipy.optimize" not in loaded
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "simulate"])
+def test_analyze_verify_and_simulate_load_no_scipy(tmp_path, worked_files, command):
+    system, report = worked_files
+    argv = {
+        "analyze": ["analyze", system],
+        "verify": ["verify", system, report],
+        "simulate": ["simulate", system, report, "--horizon", "50", "--out", "trace.csv"],
+    }[command]
+    loaded = scipy_modules_after(
+        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path
+    )
+    assert loaded == set()
+
+
+def test_design_loads_scipy_linalg_but_not_scipy_optimize(tmp_path, worked_files):
+    system, _ = worked_files
+    loaded = scipy_modules_after(
+        "from piobs import cli\n"
+        f"assert cli.main(['design', {system!r}, '--out', 'again.json']) == 0",
+        tmp_path,
+    )
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_analyze_of_an_unobservable_pair_loads_scipy_linalg(tmp_path):
+    system = tmp_path / "unobservable.json"
+    system.write_text('{"A": [[0.5, 0], [0, 0.2]], "B": [[1], [1]], "C": [[1, 0]]}')
+    loaded = scipy_modules_after(
+        f"from piobs import cli\nassert cli.main(['analyze', {str(system)!r}]) == 0",
+        tmp_path,
+    )
+    assert "scipy.linalg" in loaded

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from piobs import linalg
+from piobs import analysis, linalg
 from piobs.errors import (
     DimensionError,
     InputError,
@@ -99,6 +99,43 @@ class TestNumericalRank:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(InputError):
             linalg.numerical_rank(np.eye(2), tol_rank=0.0)
+
+
+@st.composite
+def ranked_matrices(draw):
+    """Real and complex matrices shaped like those piobs takes singular values of."""
+    n = draw(st.integers(1, 70))
+    p = draw(st.integers(1, min(4, n)))
+    kind = draw(st.sampled_from(["pbh", "observability", "square", "low-rank"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    C = rng.normal(size=(p, n))
+    if kind == "pbh":
+        # [C; zI - A] at an eigenvalue of A, complex when z is
+        z = rng.choice(np.linalg.eigvals(A))
+        return np.vstack([C.astype(complex), z * np.eye(n) - A])
+    if kind == "observability":
+        return analysis.observability_matrix(A, C)
+    if kind == "square":
+        return A
+    r = int(rng.integers(0, n + 1))
+    return rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
+
+
+class TestSingularValues:
+    """numpy's singular values are scipy's ``svdvals``, bit for bit, so ranks
+    and condition numbers did not change when scipy left these paths."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_matrices())
+    def test_match_scipy_svdvals_bit_for_bit(self, M):
+        import scipy.linalg
+
+        oracle = scipy.linalg.svdvals(M)
+        assert np.array_equal(np.linalg.svd(M, compute_uv=False), oracle)
+        assert linalg.numerical_rank(M) == np.count_nonzero(oracle > 1e-9 * oracle[0])
+        if M.shape[0] == M.shape[1] and oracle[0] > 0:
+            assert linalg.reciprocal_condition(M) == oracle[-1] / oracle[0]
 
 
 class TestSolve:

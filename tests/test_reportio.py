@@ -10,6 +10,7 @@ from piobs import (
     RandomInput,
     SimulationConfig,
     SystemRealization,
+    cli,
     design_pi_observer,
     reportio,
     run_simulation,
@@ -19,10 +20,14 @@ from piobs.errors import DimensionError, InputError, RankDeficiencyError
 
 #: A detectable but unobservable 4-state plant and an observable 5-state
 #: plant, with the files ``piobs design <stem>.system.json --seed 5 --out``
-#: and ``piobs analyze <stem>.system.json --out`` wrote for them. Later
-#: versions must reproduce those files byte for byte.
+#: and ``piobs analyze <stem>.system.json --out`` wrote for them, and the
+#: traces ``piobs simulate`` wrote from that design (``GOLDEN_TRACES``).
+#: Later versions must reproduce those files byte for byte.
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_STEMS = ("unobservable4", "observable5")
+#: ``--horizon`` of each golden trace; the observable plant is unstable and
+#: its state passes the overflow limit soon after 200 steps.
+GOLDEN_TRACES = {"unobservable4": 300, "observable5": 200}
 
 
 class TestJsonEmission:
@@ -180,3 +185,20 @@ class TestTraceCsv:
         first = lines[2].split(",")
         assert first[0] == "0"
         assert float(first[1]) == 1.0
+
+    @pytest.mark.parametrize("stem", GOLDEN_STEMS)
+    def test_matches_golden_bytes(self, stem, tmp_path):
+        path = tmp_path / "trace.csv"
+        argv = ["simulate", str(DATA / f"{stem}.system.json"),
+                str(DATA / f"{stem}.design-seed5.json"), "--horizon",
+                str(GOLDEN_TRACES[stem]), "--input", "random", "--seed", "5",
+                "--out", str(path)]
+        assert cli.main(argv) == 0
+        golden = DATA / f"{stem}.trace-seed5.csv"
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_non_finite_entry_raises(self, worked_system, worked_observer):
+        trace = run_simulation(worked_system, worked_observer, SimulationConfig(horizon=5))
+        trace.xhat[3, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite number inf"):
+            reportio.trace_csv_text(trace)
