@@ -3,6 +3,8 @@
 Schur stability, PBH observability of individual eigenvalues, detectability,
 full observability, and the observability (Kalman) decomposition that splits
 the state space into an observable block and an unobservable block.
+Every factorization here (eigenvalues, singular values, the decomposition
+basis) is numpy's.
 """
 
 from dataclasses import dataclass
@@ -235,8 +237,11 @@ def is_observable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
 def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Observability decomposition of (A, C) via the SVD of the observability stack.
 
-    The observable coordinates span the row space of the stack (q is its
-    numerical rank) and the unobservable coordinates its null space.
+    The observable coordinates span the row space of the stack and the
+    unobservable coordinates its null space. q is the stack's
+    :func:`linalg.numerical_rank`, from the same singular values the rank
+    tests use; only an unobservable pair then takes numpy's thin SVD for
+    the basis, whose column signs are fixed so it is deterministic.
     Observable pairs get the trivial decomposition q = n, T_k = I.
     """
     A, C = _check_pair(A, C)
@@ -254,10 +259,8 @@ def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
             C1=C.copy(),
             q=n,
         )
-    import scipy.linalg  # numpy's V differs bitwise and would change some reports
-
-    _, _, Vt = scipy.linalg.svd(obs)
-    V = Vt.T
+    # The thin SVD: obs has at least n rows, so Vt is still n x n.
+    V = np.linalg.svd(obs, full_matrices=False)[2].T
     # Fix column signs (largest entry positive) so the basis is deterministic.
     for j in range(n):
         k = int(np.argmax(np.abs(V[:, j])))

@@ -4,12 +4,10 @@ All operations work on plain numpy float64 arrays (row-major), are pure
 functions of their inputs and never mutate arguments, so callers may share
 values freely across threads.
 
-Ranks and condition numbers take numpy's singular values, which equal
-scipy's bit for bit. Only :func:`solve` needs scipy (its LU factorization),
-and imports it on first use, so importing piobs loads numpy alone and a
-process that never solves never pays for ``scipy.linalg``.
-Spectrum pairing is numpy code, a port of scipy's ``linear_sum_assignment``,
-so no piobs code path loads scipy's optimization package.
+Everything here is numpy: ranks and condition numbers take numpy's
+singular values (equal to scipy's ``svdvals`` bit for bit), :func:`solve`
+is numpy's LU solve with one refinement step, and spectrum pairing is a
+port of scipy's ``linear_sum_assignment``. No piobs module imports scipy.
 """
 
 import numpy as np
@@ -186,11 +184,10 @@ def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
     rcond = reciprocal_condition(M)
     if not np.isfinite(rcond) or rcond < tol_cond:
         raise SingularMatrixError("matrix is singular or near-singular", rcond=rcond)
-    import scipy.linalg  # numpy's solve differs bitwise from this LU on most systems
-
-    lu, piv = scipy.linalg.lu_factor(M)
-    Y = scipy.linalg.lu_solve((lu, piv), rhs_arr)
-    Y += scipy.linalg.lu_solve((lu, piv), rhs_arr - M @ Y)
+    # numpy exposes no LU factors, so the refinement step factors M again;
+    # that costs little at the sizes piobs solves.
+    Y = np.linalg.solve(M, rhs_arr)
+    Y += np.linalg.solve(M, rhs_arr - M @ Y)
     return Y
 
 

@@ -176,6 +176,23 @@ class TestKalmanDecomposition:
             )
             assert linalg.pairing_distance(full, split) < 1e-7
 
+    def test_basis_spans_scipy_full_svd_subspaces(self, rng):
+        # The basis comes from numpy's thin SVD; scipy's full SVD of the same
+        # stack is the oracle for the subspaces it must span.
+        import scipy.linalg
+
+        for _ in range(40):
+            system = gen.random_detectable_system(rng, n=int(rng.integers(2, 13)),
+                                                  force_unobservable=True)
+            A, C = system.A, system.C
+            dec = analysis.kalman_decompose(A, C)
+            n, q = system.n, dec.q
+            assert np.abs(dec.T_k.T @ dec.T_k - np.eye(n)).max() <= 1e-13
+            Vt = scipy.linalg.svd(analysis.observability_matrix(A, C))[2]
+            angles = scipy.linalg.subspace_angles(dec.T_k[:, :q], Vt[:q].T)
+            assert angles.max() <= 1e-10
+            assert np.abs(C @ dec.T_k[:, q:]).max() <= 1e-12 * np.abs(C).max()
+
     def test_classification_consistency(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 7))

@@ -121,6 +121,26 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "FAIL spectrum-split" in stdout
 
+    def test_accepts_what_design_wrote_for_a_defective_augmented_matrix(self, tmp_path,
+                                                                       capsys):
+        # Targets 0.3, 0.3 and phi 0.3 make the augmented matrix one 3x3
+        # Jordan block, whose computed eigenvalues scatter by ~eps^(1/3):
+        # the spectrum split misses its 1e-8 tolerance on exact gains.
+        system = tmp_path / "defective.json"
+        system.write_text(
+            '{"A": [[0.5, 1.0], [0.0, 0.2]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}'
+        )
+        out = str(tmp_path / "report.json")
+        assert cli.main(["design", str(system), "--pole", "0.3", "--pole", "0.3",
+                         "--phi-scalar", "0.3", "--out", out]) == 0
+        check = str(tmp_path / "check.json")
+        assert cli.main(["verify", str(system), out, "--out", check]) == 0
+        assert "FAIL spectrum-split" in capsys.readouterr().out
+        doc = json.loads(open(check).read())
+        assert doc["passed"] is True
+        assert doc["spectra"]["ok"] is False
+        assert doc["failed_checks"] == ["spectrum-split"]
+
     def test_infeasible_report_confirmed(self, tmp_path, undetectable_file, capsys):
         out = str(tmp_path / "rep.json")
         cli.main(["design", undetectable_file, "--out", out])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen_systems as gen
 from piobs import (
@@ -15,6 +17,8 @@ from piobs import (
     verify_design,
 )
 from piobs.design import (
+    _real_block_diag,
+    _sylvester_candidates,
     assignment_error,
     coupling_matrix,
     default_target_poles,
@@ -72,6 +76,48 @@ class TestPlacePoles:
         targets = [0.1, 0.2, 0.3]
         K = place_poles(A, C, targets)
         assert linalg.pairing_distance(linalg.eigenvalues(A + K @ C), targets) < 1e-10
+
+
+class TestSylvesterCandidates:
+    """The block-by-block numpy solve against ``scipy.linalg.solve_sylvester``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 4),
+           st.sampled_from(["real", "complex", "mixed"]), st.integers(0, 2**32 - 1))
+    def test_match_scipy_solve_sylvester(self, n, p, kind, seed):
+        import scipy.linalg
+
+        p = min(p, n)
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        C = rng.standard_normal((p, n))
+        pairs = {"real": 0, "complex": n // 2, "mixed": n // 4}[kind]
+        reals = n - 2 * pairs
+        angles = np.linspace(0.3, 2.8, pairs)
+        targets = tuple(complex(r) for r in np.linspace(-0.8, 0.8, reals)) + tuple(
+            z for a in angles for z in (0.6 * np.exp(1j * a), 0.6 * np.exp(-1j * a)))
+        D = _real_block_diag(targets)
+        mine, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        candidates = list(_sylvester_candidates(A, C, targets, mine))
+        eps = np.finfo(float).eps
+        count = 0
+        for _ in range(8):
+            G = oracle.standard_normal((p, n))
+            X = scipy.linalg.solve_sylvester(A.T, -D, -C.T @ G)
+            rcond = linalg.reciprocal_condition(X)
+            if rcond < 1e-12:
+                continue
+            K_ref = np.linalg.solve(X.T, G.T)
+            K = candidates[count]
+            count += 1
+            scale = 100 * eps / rcond
+            # K places D's spectrum with eigenvector basis X: (A + K C)^T X = X D
+            residual = np.abs((A + K @ C).T @ X - X @ D).max()
+            assert residual <= scale * (1 + np.abs(K @ C).max()) * np.abs(X).max()
+            assert np.abs(K - K_ref).max() <= scale * np.abs(K_ref).max()
+        assert count == len(candidates)
+        # Every attempt drew one G, so later candidates see the same stream.
+        assert mine.random() == oracle.random()
 
 
 class TestStabilizingGain:

@@ -160,6 +160,33 @@ class TestSolve:
             res = np.abs(M @ Y - R).max()
             assert res <= 1e-10 * max(1.0, np.abs(R).max())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.floats(0.0, 13.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_scipy_lu_within_condition_scaled_tolerance(self, n, k, decades,
+                                                                 seed):
+        # numpy's solve + one refinement step against scipy's LU + one
+        # refinement step; condition numbers up to 1e13 reach the refusal.
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        M = U @ np.diag(np.logspace(0.0, -decades, n)) @ V.T
+        R = rng.standard_normal((n, k))
+        rcond = linalg.reciprocal_condition(M)
+        if rcond < linalg.DEFAULT_TOL_COND:
+            with pytest.raises(SingularMatrixError) as err:
+                linalg.solve(M, R)
+            assert err.value.rcond == rcond
+            return
+        lu = scipy.linalg.lu_factor(M)
+        oracle = scipy.linalg.lu_solve(lu, R)
+        oracle += scipy.linalg.lu_solve(lu, R - M @ oracle)
+        Y = linalg.solve(M, R)
+        eps = np.finfo(float).eps
+        assert np.abs(Y - oracle).max() <= 100 * eps / rcond * np.abs(oracle).max()
+        assert np.abs(M @ Y - R).max() <= 100 * n * eps * np.abs(Y).max()
+
     def test_singular_matrix_raises_with_condition_estimate(self):
         with pytest.raises(SingularMatrixError) as err:
             linalg.solve([[1.0, 2.0], [2.0, 4.0]], np.eye(2))
