@@ -151,13 +151,12 @@ def _cluster_representatives(eig, tol=CLUSTER_TOL):
     return reps, assignment
 
 
-def classify_eigenvalues(A, C, tol_rank=linalg.DEFAULT_TOL_RANK,
-                         tol_boundary=BOUNDARY_TOL):
+def classify_eigenvalues(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Stability and PBH observability of every eigenvalue of A.
 
     One entry per eigenvalue with multiplicity; the PBH rank is evaluated
     once per cluster of (numerically) equal eigenvalues. Eigenvalues with
-    magnitude within ``tol_boundary`` of 1 are conservatively unstable.
+    magnitude within ``BOUNDARY_TOL`` of 1 are conservatively unstable.
     """
     A, C = _check_pair(A, C)
     if not np.any(C):
@@ -173,17 +172,16 @@ def classify_eigenvalues(A, C, tol_rank=linalg.DEFAULT_TOL_RANK,
             EigClassification(
                 eigenvalue=complex(lam),
                 magnitude=mag,
-                stable=bool(mag < 1.0 - tol_boundary),
+                stable=bool(mag < 1.0 - BOUNDARY_TOL),
                 observable=rep_observable[idx],
             )
         )
     return tuple(out)
 
 
-def is_detectable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK,
-                  tol_boundary=BOUNDARY_TOL):
+def is_detectable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Detectability of (A, C): every unstable eigenvalue passes the PBH test."""
-    cls = classify_eigenvalues(A, C, tol_rank, tol_boundary)
+    cls = classify_eigenvalues(A, C, tol_rank)
     witnesses = tuple(c.eigenvalue for c in cls if not c.stable and not c.observable)
     return DetectabilityVerdict(
         detectable=not witnesses,
@@ -192,15 +190,15 @@ def is_detectable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK,
     )
 
 
-def observability_matrix(A, C, scaled=True):
-    """The stacked observability matrix [C; CA; ...; C A^(n-1)].
+def observability_matrix(A, C):
+    """The stacked observability matrix [C; CA; ...; C A^(n-1)], scaled.
 
-    With ``scaled=True`` each block C A^k is divided by max(1, ||A||_2)^k;
-    row scaling preserves rank but keeps the stack balanced for the SVD.
+    Each block C A^k is divided by max(1, ||A||_2)^k; row scaling preserves
+    rank but keeps the stack balanced for the SVD.
     """
     A, C = _check_pair(A, C)
     n = A.shape[0]
-    s = max(1.0, float(np.linalg.norm(A, 2))) if scaled else 1.0
+    s = max(1.0, float(np.linalg.norm(A, 2)))
     blocks = [C]
     for _ in range(n - 1):
         blocks.append((blocks[-1] @ A) / s)
@@ -217,7 +215,8 @@ def observability_verdict(classifications, q):
 
     A disagreement between the PBH test and the stack rank means the pair is
     numerically borderline and is reported as an error rather than silently
-    resolved.
+    resolved. :func:`is_observable` applies it to every pair, a design only
+    where q = n (placement would move a mode PBH calls unobservable).
     """
     pbh_verdict = all(c.observable for c in classifications)
     if pbh_verdict != (q == len(classifications)):

@@ -306,7 +306,7 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
 
 
 def _placement_search(A, C, targets, seed):
-    """The strategy search of :func:`place_poles` on a checked observable pair."""
+    """The strategy search of :func:`place_poles`, without its input checks."""
     p, n = C.shape
     coeffs = linalg.poly_from_roots(targets)
     rng = np.random.default_rng(seed)
@@ -362,11 +362,13 @@ class GainPlan:
 def stabilization_plan(A, C, config=None):
     """Gain K making A + KC Schur stable, with assigned/inherited pole split.
 
-    One PBH classification and one observability decomposition serve the
-    whole plan. Observable pairs get all n poles placed at the targets.
-    Detectable but unobservable pairs get q poles placed on the observable
-    block of the decomposition while the (necessarily stable) unobservable
-    spectrum is inherited unchanged.
+    One PBH classification, one observability decomposition and one
+    placement search make the plan: PBH decides existence, the decomposition
+    gives q and the basis, and the q targets are placed on its observable
+    block (A11, C1), the whole pair when q = n. When q < n, K is lifted by
+    T_k and the unobservable spectrum is inherited. Only q = n is checked
+    against PBH (placement would move a mode PBH calls unobservable); the
+    gate of :func:`design_pi_observer` judges a q < n the stack misjudged.
     """
     config = config or DesignConfig()
     A = linalg.as_square(A, "A")
@@ -379,13 +381,11 @@ def stabilization_plan(A, C, config=None):
     q = dec.q
     targets = config.resolved_target_poles(q)
     if q == n:
-        # Raises when the PBH classification disagrees with the stack rank.
+        # Placement would move a mode PBH calls unobservable: refuse instead.
         analysis.observability_verdict(verdict.classifications, q)
-        K = _placement_search(A, C, targets, config.seed)
-        return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=())
-    K1 = place_poles(dec.A11, dec.C1, targets, tol_rank=config.tol_rank,
-                     seed=config.seed)
-    K = dec.T_k @ np.vstack([K1, np.zeros((n - q, p))])
+    K = _placement_search(dec.A11, dec.C1, targets, config.seed)
+    if q < n:
+        K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
     inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)
 
@@ -528,19 +528,17 @@ class VerificationReport:
         return tuple(names)
 
 
-def verify_design(observer, margin=None, spectrum_tol=None):
+def verify_design(observer, margin=None):
     """Independently re-check an observer design; never raises on bad gains.
 
     Recomputes the augmented spectrum, compares it against the predicted
-    split (pairing tolerance ``spectrum_tol``, defaulting to the config's
-    ``tol_eig``), and evaluates the similarity and coupling identities with
-    the explicit transform M = [[I, X], [0, I]] (whose inverse is
-    [[I, -X], [0, I]]).
+    split (pairing tolerance: the config's ``tol_eig``), and evaluates the
+    similarity and coupling identities with the explicit transform
+    M = [[I, X], [0, I]] (whose inverse is [[I, -X], [0, I]]). ``margin``
+    defaults to the config's.
     """
     if margin is None:
         margin = observer.config.margin
-    if spectrum_tol is None:
-        spectrum_tol = observer.config.tol_eig
     system = observer.system
     n, p = system.n, system.p
     aug = observer.augmented()
@@ -564,7 +562,7 @@ def verify_design(observer, margin=None, spectrum_tol=None):
         augmented_spectrum=tuple(complex(z) for z in aug_spec),
         predicted_spectrum=tuple(complex(z) for z in predicted),
         spectrum_distance=float(distance),
-        spectrum_ok=bool(distance <= spectrum_tol),
+        spectrum_ok=bool(distance <= observer.config.tol_eig),
         similarity_residual=sim_res,
         similarity_ok=bool(sim_res <= SIMILARITY_TOL * sim_scale),
         phi_residual=phi_res,
@@ -576,11 +574,11 @@ def design_pi_observer(system, config=None):
     """Run the full observer construction for a plant realization.
 
     Raises :class:`NotDetectableError` when no proportional-integral observer
-    exists, :class:`InputError` for invalid configuration, and
+    exists (the PBH test), :class:`InputError` for invalid configuration, and
     :class:`NumericalError` (naming the failing step) when a numerical stage
-    breaks down. The returned observer has passed the gate of
-    :func:`verify_design` (:attr:`VerificationReport.passed`); that report
-    is its ``verification`` attribute.
+    breaks down, ambiguous observability at q = n and failed verification
+    included; nothing else. The returned observer has passed the one gate,
+    :attr:`VerificationReport.passed`; that report is its ``verification``.
     """
     if not isinstance(system, SystemRealization):
         system = SystemRealization(*system)
@@ -618,7 +616,7 @@ def design_pi_observer(system, config=None):
         inherited_poles=plan.inherited_poles,
         config=config,
     )
-    report = verify_design(observer, config.margin)
+    report = verify_design(observer)
     if not report.passed:
         raise NumericalError(
             "designed observer failed verification: "

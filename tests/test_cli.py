@@ -87,8 +87,8 @@ class TestDesign:
         out = design_worked(tmp_path, worked_file)
         assert len(calls) == 1
         # The bytes a second, separate verification of the same observer gives.
-        observer, margin = calls[0]
-        expected = reportio.design_report_doc(observer, original(observer, margin))
+        observer = calls[0][0]
+        expected = reportio.design_report_doc(observer, original(*calls[0]))
         assert open(out, "rb").read() == (reportio.dumps_doc(expected) + "\n").encode()
 
     def test_usage_error_exits_3(self, worked_file):

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from piobs import (
     design_pi_observer,
     linalg,
     place_poles,
+    reportio,
     place_stabilizing_gain,
     verify_design,
 )
@@ -25,6 +28,8 @@ from piobs.design import (
     stabilization_plan,
 )
 from piobs.errors import DimensionError, InputError, NumericalError, SingularMatrixError
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestPlacePoles:
@@ -200,6 +205,59 @@ class TestDesignPipeline:
         with pytest.raises(NumericalError, match="numerically ambiguous"):
             design_pi_observer(system, DesignConfig(tol_rank=3e-10))
 
+    def test_misjudged_unobservable_block_is_a_numerical_error(self):
+        # PBH merges the three eigenvalues into one cluster and calls it
+        # unobservable, the stack rank says q = 2, and placement on the
+        # 2-state block of that decomposition cannot stabilize the pair:
+        # the verification gate refuses it as a typed NumericalError.
+        system = SystemRealization(
+            A=np.diag([0.7, 0.7 + 2e-9, 0.7 + 5e-9]), B=np.ones((3, 1)),
+            C=[[3.0, 2.0, 1.0]],
+        )
+        with pytest.raises(NumericalError):
+            design_pi_observer(system)
+
+    def test_stack_misjudged_q_still_designs(self):
+        # An observable n = 24 plant of the benchmark population whose
+        # observability stack has rank 22: the two modes it misjudges are
+        # inherited, and the design passes the gate.
+        system = reportio.load_system(DATA / "misjudged24.system.json")
+        assert (system.n, system.p) == (24, 1)
+        assert analysis.kalman_decompose(system.A, system.C).q == 22
+        obs = design_pi_observer(system)
+        assert obs.verification.passed
+        assert len(obs.inherited_poles) == 2
+        assert obs.verification.spectral_radius <= 0.5 + 1e-9
+        assert np.abs(obs.L).max() == pytest.approx(1.06, abs=0.01)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 6), st.integers(1, 2), st.integers(0, 2),
+           st.floats(-9.0, -5.0), st.integers(0, 2**32 - 1))
+    def test_clustered_spectra_pass_or_raise_typed_errors(
+        self, n, p, hidden, log_gap, seed
+    ):
+        # Eigenvalues in clusters 10**log_gap apart, some directions hidden
+        # from C, all rotated: a design passes verification or raises one of
+        # the three documented errors, nothing else.
+        rng = np.random.default_rng(seed)
+        hidden = min(hidden, n - p - 1)
+        values = []
+        while len(values) < n:
+            base = rng.uniform(-1.2, 1.2)
+            size = min(int(rng.integers(1, 4)), n - len(values))
+            values += [base + k * 10.0 ** log_gap for k in range(size)]
+        A = np.diag(values)
+        A[n - hidden:, :n - hidden] = 0.3 * rng.standard_normal((hidden, n - hidden))
+        C = rng.standard_normal((p, n))
+        C[:, n - hidden:] = 0.0
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        system = SystemRealization(A=Q @ A @ Q.T, B=np.ones((n, 1)), C=C @ Q.T)
+        try:
+            obs = design_pi_observer(system)
+        except (NotDetectableError, InputError, NumericalError):
+            return
+        assert obs.verification.passed
+
     @pytest.mark.parametrize(
         "A, C, pbh_calls, stack_builds",
         [
@@ -207,8 +265,8 @@ class TestDesignPipeline:
             # eigenvalue and one observability stack
             (np.diag([0.5, 1.2, -0.3]), [[1.0, 1.0, 1.0]], 3, 1),
             # detectable, unobservable: two PBH ranks and one stack for the
-            # full pair, one of each for the observable block (A11, C1)
-            (np.diag([2.0, 0.3]), [[1.0, 0.0]], 3, 2),
+            # full pair; the observable block (A11, C1) is not re-analysed
+            (np.diag([2.0, 0.3]), [[1.0, 0.0]], 2, 1),
         ],
         ids=["observable", "unobservable"],
     )
