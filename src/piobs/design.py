@@ -36,6 +36,10 @@ PLACEMENT_EXACT_TOL = 1e-10
 PHI_IDENTITY_TOL = 1e-10
 #: Relative residual threshold for the block-triangularizing similarity.
 SIMILARITY_TOL = 1e-8
+#: Largest entry of V_o^T (A + KC) V_n, relative to max(1, max|A|), that an
+#: inherited pole split tolerates. Exact decompositions leave rounding; a
+#: stack rank that misjudged q leaves the blocks coupled at 1e-2 and more.
+SPLIT_COUPLING_TOL = 1e-6
 
 
 def default_target_poles(count):
@@ -367,8 +371,11 @@ def stabilization_plan(A, C, config=None):
     gives q and the basis, and the q targets are placed on its observable
     block (A11, C1), the whole pair when q = n. When q < n, K is lifted by
     T_k and the unobservable spectrum is inherited. Only q = n is checked
-    against PBH (placement would move a mode PBH calls unobservable); the
-    gate of :func:`design_pi_observer` judges a q < n the stack misjudged.
+    against PBH (placement would move a mode PBH calls unobservable). A
+    q < n plan is checked before it is returned: if A + KC still couples the
+    two blocks (the stack misjudged q, so the inherited poles are not poles
+    of A + KC) or is not Schur stable, it raises :class:`NumericalError`. A
+    q = n plan is judged by the gate of :func:`design_pi_observer`.
     """
     config = config or DesignConfig()
     A = linalg.as_square(A, "A")
@@ -386,6 +393,20 @@ def stabilization_plan(A, C, config=None):
     K = _placement_search(dec.A11, dec.C1, targets, config.seed)
     if q < n:
         K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
+        closed = A + K @ C
+        coupling = float(np.max(np.abs(dec.T_k[:, :q].T @ closed @ dec.T_k[:, q:])))
+        if coupling > SPLIT_COUPLING_TOL * max(1.0, float(np.max(np.abs(A)))):
+            raise NumericalError(
+                f"observability decomposition is inconsistent: A + KC couples "
+                f"its observable block to the unobservable one ({coupling:.3e}), "
+                f"so the stack rank q = {q} misjudged the observable dimension"
+            )
+        stability = analysis.is_schur_stable(closed)
+        if not stability:
+            raise NumericalError(
+                f"pole placement did not stabilize A + KC: spectral radius "
+                f"{stability.spectral_radius:.9g}"
+            )
     inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)
 
@@ -394,7 +415,8 @@ def place_stabilizing_gain(A, C, config=None):
     """Output-injection gain K such that A + KC is Schur stable.
 
     Raises :class:`NotDetectableError` (with the offending eigenvalues) when
-    no such gain exists.
+    no such gain exists, and :class:`NumericalError` when the plan cannot be
+    made or fails its checks (see :func:`stabilization_plan`).
     """
     return stabilization_plan(A, C, config).K
 
@@ -576,8 +598,8 @@ def design_pi_observer(system, config=None):
     Raises :class:`NotDetectableError` when no proportional-integral observer
     exists (the PBH test), :class:`InputError` for invalid configuration, and
     :class:`NumericalError` (naming the failing step) when a numerical stage
-    breaks down, ambiguous observability at q = n and failed verification
-    included; nothing else. The returned observer has passed the one gate,
+    breaks down (ambiguous observability at q = n, an inconsistent q < n
+    plan and failed verification included); nothing else. The returned observer has passed the one gate,
     :attr:`VerificationReport.passed`; that report is its ``verification``.
     """
     if not isinstance(system, SystemRealization):

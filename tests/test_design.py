@@ -208,27 +208,28 @@ class TestDesignPipeline:
     def test_misjudged_unobservable_block_is_a_numerical_error(self):
         # PBH merges the three eigenvalues into one cluster and calls it
         # unobservable, the stack rank says q = 2, and placement on the
-        # 2-state block of that decomposition cannot stabilize the pair:
-        # the verification gate refuses it as a typed NumericalError.
-        system = SystemRealization(
-            A=np.diag([0.7, 0.7 + 2e-9, 0.7 + 5e-9]), B=np.ones((3, 1)),
-            C=[[3.0, 2.0, 1.0]],
-        )
-        with pytest.raises(NumericalError):
+        # 2-state block of that decomposition cannot stabilize the pair: the
+        # plan refuses it before any observer is built.
+        A, C = np.diag([0.7, 0.7 + 2e-9, 0.7 + 5e-9]), [[3.0, 2.0, 1.0]]
+        with pytest.raises(NumericalError, match="did not stabilize A \\+ KC"):
+            place_stabilizing_gain(A, C)
+        system = SystemRealization(A=A, B=np.ones((3, 1)), C=C)
+        with pytest.raises(NumericalError, match="did not stabilize A \\+ KC"):
             design_pi_observer(system)
 
-    def test_stack_misjudged_q_still_designs(self):
+    def test_stack_misjudged_q_is_refused(self):
         # An observable n = 24 plant of the benchmark population whose
-        # observability stack has rank 22: the two modes it misjudges are
-        # inherited, and the design passes the gate.
+        # observability stack has rank 22. The closed loop on that
+        # decomposition keeps its blocks coupled, so the two inherited poles
+        # would not be poles of A + KC: the plan refuses instead of writing
+        # a wrong split.
         system = reportio.load_system(DATA / "misjudged24.system.json")
         assert (system.n, system.p) == (24, 1)
         assert analysis.kalman_decompose(system.A, system.C).q == 22
-        obs = design_pi_observer(system)
-        assert obs.verification.passed
-        assert len(obs.inherited_poles) == 2
-        assert obs.verification.spectral_radius <= 0.5 + 1e-9
-        assert np.abs(obs.L).max() == pytest.approx(1.06, abs=0.01)
+        with pytest.raises(NumericalError, match="decomposition is inconsistent"):
+            place_stabilizing_gain(system.A, system.C)
+        with pytest.raises(NumericalError, match="decomposition is inconsistent"):
+            design_pi_observer(system)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(3, 6), st.integers(1, 2), st.integers(0, 2),
