@@ -233,7 +233,7 @@ def cmd_simulate(args):
         reportio.write_trace_csv(trace, args.out, comments=[summary])
         print(summary)
     else:
-        sys.stdout.write(reportio.trace_csv_text(trace, comments=[summary]))
+        reportio.trace_csv_text(trace, comments=[summary], out=sys.stdout)
     return EXIT_OK
 
 

@@ -210,7 +210,10 @@ def _sylvester_candidates(A, C, targets, rng, attempts=8):
     p, n = C.shape
     reals, pairs = linalg.group_conjugate_roots(targets)
     r = len(reals)
-    shifted = A.T - np.array(reals + pairs, dtype=complex)[:, None, None] * np.eye(n)
+    shifts = np.array(reals + pairs, dtype=complex)
+    shifted = np.empty((shifts.size, n, n), dtype=complex)
+    np.multiply(shifts[:, None, None], np.eye(n), out=shifted)
+    np.subtract(A.T, shifted, out=shifted)
     for _ in range(attempts):
         G = rng.standard_normal((p, n))
         R = -C.T @ G

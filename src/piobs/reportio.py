@@ -5,6 +5,7 @@ written with 17 significant digits, which round-trips IEEE doubles exactly
 and makes reports byte-identical across runs with the same inputs and seed.
 """
 
+import io
 import json
 
 import numpy as np
@@ -397,12 +398,31 @@ def verification_to_doc(report):
 # Trace files
 
 
-def trace_csv_text(trace, comments=()):
-    """Render a simulation trace as CSV text with leading comment lines.
+_TRACE_BLOCK_ROWS = 256
 
-    Every row fills one template; rows go to Python lists 256 at a time, so
-    the list of the whole trace is never held.
+
+def _check_finite(columns):
+    """Raise on the first non-finite entry, in the row-major order of the CSV."""
+    finite = [np.isfinite(c).reshape(c.shape[0], -1).all(axis=1) for c in columns]
+    if all(f.all() for f in finite):
+        return
+    k = min(int(np.argmin(f)) for f in finite if not f.all())
+    row = np.concatenate([np.atleast_1d(c[k]) for c in columns])
+    raise ValueError(f"cannot serialize non-finite number {row[~np.isfinite(row)][0]}")
+
+
+def trace_csv_text(trace, comments=(), out=None):
+    """Render a simulation trace as CSV with leading comment lines.
+
+    With a text stream ``out``, the CSV is streamed to it: each block of 256
+    rows is formatted from slices of the trace arrays and written at once,
+    so neither the whole text nor the stacked trace is ever held, and None is
+    returned. Without ``out`` the text is returned. Every entry is checked
+    for finiteness before the first byte is written, so a non-finite trace
+    raises ValueError and writes nothing.
     """
+    columns = (trace.x, trace.xhat, trace.v, trace.err_inf, trace.v_inf)
+    _check_finite(columns)
     n = trace.x.shape[1]
     p = trace.v.shape[1]
     header = (
@@ -412,17 +432,18 @@ def trace_csv_text(trace, comments=()):
         + [f"v{i + 1}" for i in range(p)]
         + ["err_inf", "v_inf"]
     )
-    M = np.column_stack([trace.x, trace.xhat, trace.v, trace.err_inf, trace.v_inf])
-    if not np.isfinite(M).all():
-        raise ValueError(f"cannot serialize non-finite number {M[~np.isfinite(M)][0]}")
-    row = "%d," + ",".join([_FLOAT_FORMAT] * M.shape[1]) + "\n"
-    parts = [f"# {line}\n" for line in comments] + [",".join(header) + "\n"]
-    for start in range(0, M.shape[0], 256):
-        block = M[start:start + 256].tolist()
-        parts.append("".join([row % (k, *r) for k, r in enumerate(block, start)]))
-    return "".join(parts)
+    row = "%d," + ",".join([_FLOAT_FORMAT] * (2 * n + p + 2)) + "\n"
+    sink = io.StringIO() if out is None else out
+    sink.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n")
+    for start in range(0, trace.x.shape[0], _TRACE_BLOCK_ROWS):
+        stop = start + _TRACE_BLOCK_ROWS
+        block = np.column_stack([c[start:stop] for c in columns]).tolist()
+        sink.write("".join([row % (k, *r) for k, r in enumerate(block, start)]))
+    if out is None:
+        return sink.getvalue()
 
 
 def write_trace_csv(trace, path, comments=()):
+    """Stream a trace to ``path`` as CSV, 256 rows at a time (see :func:`trace_csv_text`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_csv_text(trace, comments))
+        trace_csv_text(trace, comments, fh)

@@ -1,5 +1,7 @@
+import io
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,8 +199,52 @@ class TestTraceCsv:
         golden = DATA / f"{stem}.trace-seed5.csv"
         assert path.read_bytes() == golden.read_bytes()
 
-    def test_non_finite_entry_raises(self, worked_system, worked_observer):
+    @pytest.mark.parametrize("stem", GOLDEN_STEMS)
+    def test_stdout_matches_golden_bytes(self, stem, capsysbinary):
+        argv = ["simulate", str(DATA / f"{stem}.system.json"),
+                str(DATA / f"{stem}.design-seed5.json"), "--horizon",
+                str(GOLDEN_TRACES[stem]), "--input", "random", "--seed", "5"]
+        assert cli.main(argv) == 0
+        golden = DATA / f"{stem}.trace-seed5.csv"
+        assert capsysbinary.readouterr().out == golden.read_bytes()
+
+    def test_stream_and_text_agree(self, worked_system, worked_observer):
+        trace = run_simulation(
+            worked_system, worked_observer,
+            SimulationConfig(horizon=600, input_signal=RandomInput(seed=1)),
+        )
+        out = io.StringIO()
+        assert reportio.trace_csv_text(trace, ["c"], out=out) is None
+        text = reportio.trace_csv_text(trace, ["c"])
+        assert out.getvalue() == text
+        assert text.splitlines()[-1].startswith("600,")
+
+    def test_streamed_file_peak_is_below_a_quarter_of_its_size(self, rng, tmp_path):
+        system = gen.random_detectable_system(
+            rng, n=4, p=1, m=1, unstable_prob=0.0, force_unobservable=True
+        )
+        trace = run_simulation(
+            system, design_pi_observer(system),
+            SimulationConfig(horizon=5000, input_signal=RandomInput(seed=5)),
+        )
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            reportio.write_trace_csv(trace, path, comments=["summary line"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path.read_text().splitlines()) == 2 + 5001
+        assert peak < path.stat().st_size / 4
+
+    def test_non_finite_entry_raises(self, tmp_path, worked_system, worked_observer):
         trace = run_simulation(worked_system, worked_observer, SimulationConfig(horizon=5))
         trace.xhat[3, 0] = np.inf
+        # a later row and an earlier column: the first entry in CSV order is named
+        trace.x[4, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite number inf"):
             reportio.trace_csv_text(trace)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="non-finite number inf"):
+            reportio.write_trace_csv(trace, path, comments=["summary line"])
+        assert path.read_text() == ""

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from piobs import (
     step_observer,
     step_plant,
 )
+from piobs.design import augmented_matrix
 from piobs.errors import InputError
 from piobs.sim import build_input, error_dynamics_check, fit_decay_rate
 
@@ -173,6 +175,46 @@ class TestErrorDynamics:
         corrupted = replace(trace, xhat=xhat, e=xhat - trace.x)
         residual = error_dynamics_check(corrupted, worked_observer)
         assert residual == pytest.approx(1e-3, rel=0.6)
+
+    @pytest.mark.parametrize("horizon", [1, 255, 256, 257, 300, 513, 5000])
+    def test_blocks_match_the_whole_array_formula(self, rng, horizon):
+        system = gen.random_detectable_system(rng, n=4, p=2, m=1, unstable_prob=0.0)
+        observer = design_pi_observer(system)
+        trace = run_simulation(
+            system, observer,
+            SimulationConfig(horizon=horizon, input_signal=RandomInput(seed=3)),
+        )
+        aug = augmented_matrix(system, observer.L, observer.F)
+        ev = np.hstack([trace.e, trace.v])
+        whole = float(np.abs(ev[1:] - ev[:-1] @ aug.T).max())
+        assert error_dynamics_check(trace, observer) == whole
+
+    @pytest.mark.parametrize("step", [255, 256, 257, 512, 600])
+    def test_corruption_at_block_edges_shows_up(self, worked_system, worked_observer, step):
+        trace = run_simulation(
+            worked_system, worked_observer, SimulationConfig(horizon=600)
+        )
+        xhat = trace.xhat.copy()
+        xhat[step] += 1e-3
+        corrupted = replace(trace, xhat=xhat, e=xhat - trace.x)
+        residual = error_dynamics_check(corrupted, worked_observer)
+        assert residual == pytest.approx(1e-3, rel=0.6)
+
+    def test_peak_memory_does_not_grow_with_horizon(self, rng):
+        system = gen.random_detectable_system(rng, n=4, p=1, m=1, unstable_prob=0.0)
+        observer = design_pi_observer(system)
+        trace = run_simulation(
+            system, observer,
+            SimulationConfig(horizon=5000, input_signal=RandomInput(seed=5)),
+        )
+        tracemalloc.start()
+        try:
+            error_dynamics_check(trace, observer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # eight 257-row blocks of [e, v], whatever the horizon
+        assert peak < 8 * 257 * (system.n + system.p) * 8
 
     def test_geometric_decay_fit(self, rng):
         for _ in range(5):
