@@ -118,7 +118,8 @@ def is_schur_stable(M, margin=0.0):
     )
 
 
-def _check_pair(A, C):
+def check_pair(A, C):
+    """Validate (A, C) as a square A and a C with as many columns."""
     A = linalg.as_square(A, "A")
     C = linalg.as_matrix(C, "C")
     if C.shape[1] != A.shape[0]:
@@ -130,7 +131,7 @@ def _check_pair(A, C):
 
 def pbh_rank_at(A, C, z, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Numerical rank of the stacked PBH matrix [C; I z - A] at a point z."""
-    A, C = _check_pair(A, C)
+    A, C = check_pair(A, C)
     n = A.shape[0]
     stack = np.vstack([C.astype(complex), complex(z) * np.eye(n) - A])
     return linalg.numerical_rank(stack, tol_rank)
@@ -158,7 +159,7 @@ def classify_eigenvalues(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     once per cluster of (numerically) equal eigenvalues. Eigenvalues with
     magnitude within ``BOUNDARY_TOL`` of 1 are conservatively unstable.
     """
-    A, C = _check_pair(A, C)
+    A, C = check_pair(A, C)
     if not np.any(C):
         raise ValueError("C must be nonzero to classify observability")
     n = A.shape[0]
@@ -196,7 +197,7 @@ def observability_matrix(A, C):
     Each block C A^k is divided by max(1, ||A||_2)^k; row scaling preserves
     rank but keeps the stack balanced for the SVD.
     """
-    A, C = _check_pair(A, C)
+    A, C = check_pair(A, C)
     n = A.shape[0]
     s = max(1.0, float(np.linalg.norm(A, 2)))
     blocks = [C]
@@ -243,7 +244,7 @@ def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     the basis, whose column signs are fixed so it is deterministic.
     Observable pairs get the trivial decomposition q = n, T_k = I.
     """
-    A, C = _check_pair(A, C)
+    A, C = check_pair(A, C)
     n = A.shape[0]
     obs = observability_matrix(A, C)
     q = linalg.numerical_rank(obs, tol_rank)

@@ -1,13 +1,13 @@
 """Synthesis of full-order proportional-integral observer gains.
 
 The pipeline: check detectability, compute an output-injection gain K that
-makes A + KC Schur stable (pole placement, routed through the observability
-decomposition when the pair is unobservable), complete C to a nonsingular
-basis T, build the coupling matrix X from a chosen Schur-stable phi and a
-free block, and read off the observer gains L = X - K and
-F = -(A - LC) X + X (-C X + I). The augmented error/integrator matrix is
-then similar to block-triangular [[A + KC, 0], [-C, phi]], which is what
-:func:`verify_design` checks.
+makes A + KC Schur stable (pole placement on the observable block, accepted
+by the eigenvalues it achieves; the filter Riccati gain when the default
+poles cannot be placed), complete C to a nonsingular basis T, build the
+coupling matrix X from a chosen Schur-stable phi and a free block, and read
+off the observer gains L = X - K and F = -(A - LC) X + X (-C X + I). The
+augmented error/integrator matrix is then similar to block-triangular
+[[A + KC, 0], [-C, phi]], which is what :func:`verify_design` checks.
 """
 
 from dataclasses import dataclass, field
@@ -27,11 +27,11 @@ from .systems import SystemRealization
 #: Default stability margin: a design passes when the augmented spectral
 #: radius is below 1 - margin.
 DEFAULT_MARGIN = 1e-6
-#: Acceptable relative coefficient error between the achieved and requested
-#: characteristic polynomial of A + KC.
+#: Largest accepted eigenvalue error of a placement: the pairing distance
+#: between eig(A + KC) and the targets, over max(1, max|target|).
 PLACEMENT_TOL = 1e-6
-#: A placement attempt below this error is taken as exact and ends the search.
-PLACEMENT_EXACT_TOL = 1e-10
+#: A placement below this eigenvalue error counts as exact.
+PLACEMENT_EXACT_TOL = 1e-8
 #: Max residual of the identity -C X + I = phi.
 PHI_IDENTITY_TOL = 1e-10
 #: Relative residual threshold for the block-triangularizing similarity.
@@ -64,9 +64,10 @@ class DesignConfig:
     """Choices and tolerances for one observer design.
 
     ``target_poles`` are the desired eigenvalues of A + KC (n of them for an
-    observable pair, q for the observable block otherwise); None picks the
-    defaults. ``phi`` is the integral-loop matrix (scalar means a multiple of
-    the identity), ``lambda_block`` the free (n-p) x p block entering the
+    observable pair, q for the observable block otherwise), refused when they
+    cannot be placed; None picks the defaults, or the Riccati gain's poles.
+    ``phi`` is the integral-loop matrix (scalar means a multiple of the
+    identity), ``lambda_block`` the free (n-p) x p block entering the
     coupling matrix. ``seed`` feeds the randomized multi-output placement;
     ``tol_eig`` is the pairing tolerance for spectrum comparisons during
     verification.
@@ -153,7 +154,6 @@ def _single_input_gain(M, b, coeffs):
     system is numerically singular, i.e. (M, b) is not controllable.
     """
     n = M.shape[0]
-    b = b.astype(float).reshape(n)
     c0 = linalg.char_poly(M)[1:]
     W = np.empty((n, n))
     for i in range(n):
@@ -181,6 +181,18 @@ def _real_block_diag(targets):
     return D
 
 
+def _sylvester_applies(A, targets):
+    """True when the targets are distinct and clear of the spectrum of A."""
+    vals = np.asarray(targets, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    diffs = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(diffs, np.inf)
+    eigA = linalg.eigenvalues(A)
+    gap = np.min(np.abs(vals[:, None] - eigA[None, :]))
+    return bool(diffs.min() > 1e-8 * scale
+                and gap > 1e-8 * max(scale, float(np.max(np.abs(eigA)))))
+
+
 def _sylvester_candidates(A, C, targets, rng, attempts=8):
     """Gain candidates from the Sylvester-equation placement method.
 
@@ -190,36 +202,20 @@ def _sylvester_candidates(A, C, targets, rng, attempts=8):
     diagonal, so X splits by block: the column of a real target ``r`` solves
     ``(A^T - r I) x = R[:, j]``, and the two columns of a conjugate pair
     ``z`` are the real and imaginary parts of the solution ``w`` of
-    ``(A^T - z I) w = R[:, j] + i R[:, j+1]``. One stacked complex solve per
-    attempt does every block.
-
-    Works only for distinct targets disjoint from the spectrum of A; the
-    caller falls back to other strategies otherwise.
+    ``(A^T - z I) w = R[:, j] + i R[:, j+1]``: one complex n x n solve per
+    block. Works only where :func:`_sylvester_applies`; the caller checks.
     """
-    vals = np.asarray(targets, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if vals.size > 1:
-        diffs = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() <= 1e-8 * scale:
-            return
-    eigA = linalg.eigenvalues(A)
-    gap = np.min(np.abs(vals[:, None] - eigA[None, :]))
-    if gap <= 1e-8 * max(scale, float(np.max(np.abs(eigA)))):
-        return
     p, n = C.shape
     reals, pairs = linalg.group_conjugate_roots(targets)
     r = len(reals)
-    shifts = np.array(reals + pairs, dtype=complex)
-    shifted = np.empty((shifts.size, n, n), dtype=complex)
-    np.multiply(shifts[:, None, None], np.eye(n), out=shifted)
-    np.subtract(A.T, shifted, out=shifted)
+    shifts = reals + pairs
     for _ in range(attempts):
         G = rng.standard_normal((p, n))
         R = -C.T @ G
-        rhs = np.hstack([R[:, :r], R[:, r::2] + 1j * R[:, r + 1::2]]).T[:, :, None]
+        rhs = np.hstack([R[:, :r], R[:, r::2] + 1j * R[:, r + 1::2]])
         try:
-            W = np.linalg.solve(shifted, rhs)[:, :, 0].T
+            W = np.hstack([np.linalg.solve(A.T - z * np.eye(n), rhs[:, j:j + 1])
+                           for j, z in enumerate(shifts)])
         except np.linalg.LinAlgError:
             return
         X = np.empty((n, n))
@@ -254,52 +250,18 @@ def _cyclic_candidates(A, C, coeffs, rng, attempts=12):
         yield (F0 + np.outer(v, f)).T
 
 
-def _refine_gain(A, C, K, coeffs, rng, attempts=3):
-    """Polish a gain by correcting along a single input direction.
-
-    With the other directions frozen, the remaining coefficient error is
-    affine in a rank-one correction, so one more single-input solve around
-    the current closed loop usually lands at rounding level.
-    """
-    Ad, Bd = A.T, C.T
-    p = Bd.shape[1]
-    best = K
-    best_err = assignment_error(A, C, K, coeffs)
-    for i in range(attempts):
-        v = np.ones(p) if i == 0 else rng.standard_normal(p)
-        f = _single_input_gain(Ad + Bd @ K.T, Bd @ v, coeffs)
-        if f is None:
-            continue
-        K_new = K + np.outer(f, v)
-        err = assignment_error(A, C, K_new, coeffs)
-        if err < best_err:
-            best, best_err = K_new, err
-        if best_err < PLACEMENT_EXACT_TOL:
-            break
-    return best, best_err
-
-
-def assignment_error(A, C, K, target_coeffs):
-    """Relative coefficient error between char(A + KC) and the target polynomial."""
-    achieved = linalg.char_poly(A + K @ C)
-    scale = max(1.0, float(np.max(np.abs(target_coeffs))))
-    return float(np.max(np.abs(achieved - target_coeffs))) / scale
-
-
 def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
-    """Output-injection gain K with char(A + KC) matching the target poles.
+    """Output-injection gain K with eig(A + KC) matching the target poles.
 
     Requires (A, C) observable and a conjugate-closed multiset of n targets.
-    Strategy: exact inversion when C is square, an affine single-input solve
-    on the dual pair for single-output systems, and Sylvester / cyclic-vector
-    reductions for multi-output systems; the best candidate by achieved
-    coefficient error wins and gets a rank-one polish.
+    Candidates: inversion when C is square, a single-input solve when p = 1,
+    and Sylvester, or for p > 1 a cyclic-vector reduction where targets
+    repeat or touch eig(A). Each is judged by its eigenvalue error (see
+    ``PLACEMENT_TOL``): the smallest-norm exact one wins, else the best
+    within ``PLACEMENT_TOL``, else :class:`NumericalError` is raised.
     """
-    A = linalg.as_square(A, "A")
-    C = linalg.as_matrix(C, "C")
+    A, C = analysis.check_pair(A, C)
     n = A.shape[0]
-    if C.shape[1] != n:
-        raise DimensionError(f"C has {C.shape[1]} columns, expected n={n}")
     targets = tuple(complex(z) for z in np.atleast_1d(np.asarray(target_poles, dtype=complex)))
     if len(targets) != n:
         raise InputError(f"expected {n} target poles, got {len(targets)}")
@@ -316,6 +278,7 @@ def _placement_search(A, C, targets, seed):
     """The strategy search of :func:`place_poles`, without its input checks."""
     p, n = C.shape
     coeffs = linalg.poly_from_roots(targets)
+    scale = max(1.0, max(abs(z) for z in targets))
     rng = np.random.default_rng(seed)
 
     def candidates():
@@ -327,14 +290,15 @@ def _placement_search(A, C, targets, seed):
             g = _single_input_gain(A.T, C.reshape(n), coeffs)
             if g is not None:
                 yield np.asarray(g).reshape(n, 1)
-        yield from _sylvester_candidates(A, C, targets, rng)
-        if p > 1:
+        if _sylvester_applies(A, targets):
+            yield from _sylvester_candidates(A, C, targets, rng)
+        elif p > 1:
             yield from _cyclic_candidates(A, C, coeffs, rng)
 
     best_K, best_err = None, np.inf
     exact = []
     for K in candidates():
-        err = assignment_error(A, C, K, coeffs)
+        err = linalg.pairing_distance(linalg.eigenvalues(A + K @ C), targets) / scale
         if err < best_err:
             best_K, best_err = K, err
         if err < PLACEMENT_EXACT_TOL:
@@ -346,14 +310,41 @@ def _placement_search(A, C, targets, seed):
                 break
     if exact:
         return min(exact, key=np.linalg.norm)
-    if best_K is not None:
-        best_K, best_err = _refine_gain(A, C, best_K, coeffs, rng)
     if best_K is None or best_err > PLACEMENT_TOL:
         raise NumericalError(
-            f"pole placement failed: best relative coefficient error "
+            f"pole placement failed: best relative eigenvalue error "
             f"{best_err:.3e} exceeds {PLACEMENT_TOL:.0e}"
         )
     return best_K
+
+
+def riccati_gain(A, C):
+    """K = -A P C^T (I + C P C^T)^-1 of the filter Riccati equation, Q = R = I.
+
+    P = A P A^T - A P C^T (I + C P C^T)^-1 C P A^T + I is solved by the
+    structure-preserving doubling algorithm (Chu, Fan & Lin 2005): from
+    A = A^T, G = C^T C, H = I, each step sets W = I + G H, A <- A W^-1 A,
+    G <- G + A W^-1 G A^T, H <- H + A^T H W^-1 A, and H -> P quadratically.
+    A + KC is Schur stable when (A, C) is detectable; when the doubling
+    overflows or does not converge, :class:`NumericalError` is raised.
+    """
+    A, C = analysis.check_pair(A, C)
+    n, p = A.shape[0], C.shape[0]
+    Ak, G, H = A.T, C.T @ C, np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(64):
+            # G and H stay positive semidefinite, so I + G H is nonsingular.
+            WA, WG = np.hsplit(np.linalg.solve(np.eye(n) + G @ H, np.hstack([Ak, G])), 2)
+            H, H_old = H + Ak.T @ H @ WA, H
+            G, Ak = G + Ak @ WG @ Ak.T, Ak @ WA
+            if not all(np.isfinite(M).all() for M in (H, G, Ak)):
+                raise NumericalError("Riccati doubling overflowed: is (A, C) detectable?")
+            if np.max(np.abs(H - H_old)) <= 1e-13 * np.max(np.abs(H)):
+                break
+        else:
+            raise NumericalError("Riccati doubling did not converge in 64 steps")
+    CH = C @ (0.5 * (H + H.T))
+    return -A @ np.linalg.solve(np.eye(p) + CH @ C.T, CH).T
 
 
 @dataclass(frozen=True)
@@ -372,17 +363,18 @@ def stabilization_plan(A, C, config=None):
     One PBH classification, one observability decomposition and one
     placement search make the plan: PBH decides existence, the decomposition
     gives q and the basis, and the q targets are placed on its observable
-    block (A11, C1), the whole pair when q = n. When q < n, K is lifted by
-    T_k and the unobservable spectrum is inherited. Only q = n is checked
-    against PBH (placement would move a mode PBH calls unobservable). A
-    q < n plan is checked before it is returned: if A + KC still couples the
-    two blocks (the stack misjudged q, so the inherited poles are not poles
-    of A + KC) or is not Schur stable, it raises :class:`NumericalError`. A
-    q = n plan is judged by the gate of :func:`design_pi_observer`.
+    block (A11, C1), the whole pair when q = n; default targets that cannot
+    be placed give way to :func:`riccati_gain` and its achieved poles. When
+    q < n, K is lifted by T_k and the unobservable spectrum is inherited.
+    Only q = n is checked against PBH (placement would move a mode PBH calls
+    unobservable). A q < n plan is checked before it is returned: if A + KC
+    still couples the two blocks (the stack misjudged q, so the inherited
+    poles are not poles of A + KC) or is not Schur stable, it raises
+    :class:`NumericalError`. A q = n plan is judged by the gate of
+    :func:`design_pi_observer`.
     """
     config = config or DesignConfig()
-    A = linalg.as_square(A, "A")
-    C = linalg.as_matrix(C, "C")
+    A, C = analysis.check_pair(A, C)
     n, p = A.shape[0], C.shape[0]
     verdict = analysis.is_detectable(A, C, config.tol_rank)
     if not verdict:
@@ -393,7 +385,14 @@ def stabilization_plan(A, C, config=None):
     if q == n:
         # Placement would move a mode PBH calls unobservable: refuse instead.
         analysis.observability_verdict(verdict.classifications, q)
-    K = _placement_search(dec.A11, dec.C1, targets, config.seed)
+    try:
+        K = _placement_search(dec.A11, dec.C1, targets, config.seed)
+    except NumericalError:
+        if config.target_poles is not None:
+            raise
+        # Default poles are no promise: report what the Riccati gain achieves.
+        K = riccati_gain(dec.A11, dec.C1)
+        targets = tuple(complex(z) for z in linalg.eigenvalues(dec.A11 + K @ dec.C1))
     if q < n:
         K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
         closed = A + K @ C

@@ -127,3 +127,10 @@ def permuted_max_distance(a, b):
     cost = np.abs(a[:, None] - b[None, :])
     r, c = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[r, c].max()) if a.size else 0.0
+
+
+def assignment_error(A, C, K, target_coeffs):
+    """Relative coefficient error between char(A + KC) and the target polynomial."""
+    achieved = np.poly(np.linalg.eigvals(A + K @ C)).real
+    scale = max(1.0, float(np.max(np.abs(target_coeffs))))
+    return float(np.max(np.abs(achieved - target_coeffs))) / scale

@@ -25,7 +25,6 @@ from piobs import (
     run_simulation,
     verify_design,
 )
-from piobs.design import assignment_error
 
 SWEEP_SEED = 20260801
 SWEEP_SIZE = 500
@@ -141,7 +140,7 @@ def test_criterion_5_convergence_and_input_independence(design_sweep):
 
 def test_criterion_6_pole_placement_accuracy():
     rng = np.random.default_rng(SWEEP_SEED + 3)
-    worst = 0.0
+    worst = worst_eig = 0.0
     for i in range(200):
         n = int(rng.integers(1, 9))
         p = int(rng.integers(1, min(3, n) + 1))
@@ -152,12 +151,16 @@ def test_criterion_6_pole_placement_accuracy():
             targets[0] = 0.3 + 0.15j
             targets[1] = 0.3 - 0.15j
         K = place_poles(A, C, targets, seed=i)
-        err = assignment_error(A, C, K, linalg.poly_from_roots(targets))
+        err = oracles.assignment_error(A, C, K, linalg.poly_from_roots(targets))
         worst = max(worst, err)
         assert err <= 1e-6
+        dist = linalg.pairing_distance(linalg.eigenvalues(A + K @ C), targets)
+        worst_eig = max(worst_eig, dist)
+        assert dist <= 1e-6
     report_pass(
-        6, f"200/200 placements match the target polynomial; worst relative "
-           f"coefficient error {worst:.2e}",
+        6, f"200/200 placements match the target polynomial and the target "
+           f"poles; worst relative coefficient error {worst:.2e}, worst "
+           f"eigenvalue distance {worst_eig:.2e}",
     )
 
 

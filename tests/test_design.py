@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen_systems as gen
+import oracles
 from piobs import (
     DesignConfig,
     NotDetectableError,
@@ -17,12 +19,12 @@ from piobs import (
     place_poles,
     reportio,
     place_stabilizing_gain,
+    riccati_gain,
     verify_design,
 )
 from piobs.design import (
     _real_block_diag,
     _sylvester_candidates,
-    assignment_error,
     coupling_matrix,
     default_target_poles,
     stabilization_plan,
@@ -30,6 +32,16 @@ from piobs.design import (
 from piobs.errors import DimensionError, InputError, NumericalError, SingularMatrixError
 
 DATA = pathlib.Path(__file__).parent / "data"
+BENCH_PLANTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plants.py"
+
+
+@pytest.fixture(scope="module")
+def bench_plants():
+    """The benchmark's seeded plant generator, imported read-only."""
+    spec = importlib.util.spec_from_file_location("bench_plants", BENCH_PLANTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestPlacePoles:
@@ -73,7 +85,7 @@ class TestPlacePoles:
         targets = [0.2, 0.2, 0.3, 0.3, 0.4]
         K = place_poles(A, C, targets, seed=1)
         coeffs = linalg.poly_from_roots(targets)
-        assert assignment_error(A, C, K, coeffs) <= 1e-6
+        assert oracles.assignment_error(A, C, K, coeffs) <= 1e-6
 
     def test_square_output_matrix_is_exact(self, rng):
         A = rng.standard_normal((3, 3))
@@ -152,6 +164,52 @@ class TestStabilizingGain:
             system = gen.random_detectable_system(rng)
             K = place_stabilizing_gain(system.A, system.C)
             assert analysis.is_schur_stable(system.A + K @ system.C, margin=1e-6)
+
+
+class TestRiccatiGain:
+    def test_matches_scipy_and_stabilizes_unstable_detectable_pairs(self, rng):
+        import scipy.linalg
+
+        for _ in range(20):
+            n = int(rng.integers(2, 25))
+            p = int(rng.integers(1, min(4, n) + 1))
+            q = int(rng.integers(p, n + 1))
+            # unstable observable block, stable hidden block, then rotated
+            A11, C1 = gen.random_observable_pair(rng, q, p, radius=1.3)
+            A = np.zeros((n, n))
+            A[:q, :q] = A11
+            A[q:, :q] = rng.standard_normal((n - q, q))
+            A[q:, q:] = 0.6 * gen.rand_orthogonal(rng, n - q)
+            S = gen.rand_orthogonal(rng, n)
+            A, C = S @ A @ S.T, np.hstack([C1, np.zeros((p, n - q))]) @ S.T
+            K = riccati_gain(A, C)
+            P = scipy.linalg.solve_discrete_are(A.T, C.T, np.eye(n), np.eye(p))
+            K_ref = -A @ P @ C.T @ np.linalg.inv(np.eye(p) + C @ P @ C.T)
+            assert np.abs(K - K_ref).max() <= 1e-9 * max(1.0, np.abs(K_ref).max())
+            assert analysis.is_schur_stable(A + K @ C)
+
+    @pytest.mark.parametrize(
+        "hidden, match", [(2.0, "overflowed"), (1.0, "did not converge")]
+    )
+    def test_undetectable_pair_is_a_riccati_error(self, hidden, match):
+        with pytest.raises(NumericalError, match=f"Riccati doubling {match}"):
+            riccati_gain(np.diag([0.5, hidden]), [[1.0, 0.0]])
+
+    def test_default_poles_fall_back_and_explicit_poles_are_refused(self, bench_plants):
+        # An observable n = 32 plant on which no candidate places the default
+        # fan within 1e-6: the default design takes the Riccati gain and
+        # reports the poles it achieves; the same poles asked for explicitly
+        # are refused, not silently replaced.
+        plant = next(pl for pl in bench_plants.sweep_population(1, 0)
+                     if pl.name == "sweep-n32-5")
+        system = SystemRealization(plant.A, plant.B, plant.C)
+        obs = design_pi_observer(system, DesignConfig(seed=1))
+        assert obs.verification.passed and obs.verification.spectrum_ok
+        achieved = linalg.eigenvalues(system.A + obs.K @ system.C)
+        assert linalg.pairing_distance(achieved, obs.assigned_poles) <= 1e-9
+        explicit = DesignConfig(target_poles=default_target_poles(32), seed=1)
+        with pytest.raises(NumericalError, match="pole placement failed"):
+            design_pi_observer(system, explicit)
 
 
 class TestCouplingMatrix:
@@ -343,6 +401,29 @@ class TestDesignPipeline:
         s1 = linalg.eigenvalues(obs1.augmented())
         s2 = linalg.eigenvalues(obs2.augmented())
         assert linalg.pairing_distance(s1, s2) < 1e-6
+
+    def test_reported_split_is_the_spectrum_of_a_plus_kc(self, bench_plants):
+        # Every design of the benchmark's sweep plants up to n = 16 reports
+        # assigned + inherited poles that A + KC has.
+        misses, designs = [], 0
+        for seed in (1, 2, 3):
+            for index in (0, 1):
+                for plant in bench_plants.sweep_population(seed, index):
+                    if plant.n > 16:
+                        continue
+                    system = SystemRealization(plant.A, plant.B, plant.C)
+                    try:
+                        obs = design_pi_observer(system, DesignConfig(seed=seed))
+                    except (NotDetectableError, NumericalError):
+                        continue
+                    designs += 1
+                    closed = linalg.eigenvalues(system.A + obs.K @ system.C)
+                    split = obs.assigned_poles + obs.inherited_poles
+                    dist = linalg.pairing_distance(closed, split)
+                    if dist > 1e-6:
+                        misses.append((seed, index, plant.name, dist))
+        assert designs > 300
+        assert misses == []
 
     def test_default_targets_are_distinct_and_well_inside_the_disk(self):
         for count in (1, 2, 5, 8):

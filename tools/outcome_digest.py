@@ -3,6 +3,7 @@
 
     python3 tools/outcome_digest.py --seeds 1-10 > new.digest
     python3 tools/outcome_digest.py --diff old.digest new.digest
+    python3 tools/outcome_digest.py --seeds 1-10 --summary
 
 For each seed s the plants are ``plants.sweep_population(s, 0)``,
 ``plants.sweep_population(s, 1)`` and ``plants.cli_plants(s)`` of the
@@ -13,6 +14,9 @@ benchmark (``perfbench/plants.py``, imported, never edited), each designed at
 writes, ``refused`` for a typed ``NumericalError`` or ``error`` for any
 other exception, each with the error text. Run it on two checkouts and
 ``--diff`` lists every plant whose line changed and counts the outcome moves.
+``--summary`` prints, per state size n instead, the refused/feasible count and
+how many designs report a pole split (assigned + inherited poles) that
+eig(A + KC) misses by more than 1e-6 in pairing distance.
 """
 
 import argparse
@@ -25,20 +29,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+SPLIT_TOL = 1e-6
+
+
 def outcome(plant, seed, piobs, reportio):
+    """``(kind, detail, split)``; ``split`` is the pairing distance between
+    eig(A + KC) and the reported poles of a design, None otherwise."""
     system = piobs.SystemRealization(plant.A, plant.B, plant.C, name=plant.name)
+    split = None
     try:
         obs = piobs.design_pi_observer(system, piobs.DesignConfig(seed=seed))
         kind, doc = "design", reportio.design_report_doc(obs, obs.verification)
+        closed = piobs.linalg.eigenvalues(system.A + obs.K @ system.C)
+        split = piobs.linalg.pairing_distance(closed, obs.assigned_poles + obs.inherited_poles)
     except piobs.NotDetectableError as exc:
         kind, doc = "infeasible", reportio.infeasible_report_doc(system, exc.witnesses)
     except Exception as exc:
         kind = "refused" if isinstance(exc, piobs.NumericalError) else "error"
-        return kind, f"{type(exc).__name__}: {exc}".replace("\n", " ")
-    return kind, hashlib.sha256(reportio.dumps_doc(doc).encode()).hexdigest()
+        return kind, f"{type(exc).__name__}: {exc}".replace("\n", " "), split
+    return kind, hashlib.sha256(reportio.dumps_doc(doc).encode()).hexdigest(), split
 
 
-def digest(seeds):
+def digest(seeds, summary=False):
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -46,13 +58,24 @@ def digest(seeds):
     import plants
     from piobs import reportio
 
+    rows = collections.defaultdict(collections.Counter)
     for s in seeds:
         main, batch = plants.cli_plants(s)
         groups = [(f"sweep{k}", plants.sweep_population(s, k)) for k in (0, 1)]
         for group, population in groups + [("cli", [main] + batch)]:
             for plant in population:
-                kind, detail = outcome(plant, s, piobs, reportio)
-                print(s, group, plant.name, kind, detail, flush=True)
+                kind, detail, split = outcome(plant, s, piobs, reportio)
+                if not summary:
+                    print(s, group, plant.name, kind, detail, flush=True)
+                row = rows[plant.n]
+                row["feasible"] += plant.feasible
+                row[kind] += 1
+                row["misreported"] += split is not None and split > SPLIT_TOL
+    if summary:
+        print(f"{'n':>3} {'refused/feasible':>16} misreported/designs")
+        for n, row in sorted(rows.items()):
+            refused = f"{row['refused']}/{row['feasible']}"
+            print(f"{n:>3} {refused:>16} {row['misreported']:>11}/{row['design']}")
 
 
 def diff(old_path, new_path):
@@ -78,9 +101,11 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-10", help="first-last (default %(default)s)")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"))
+    parser.add_argument("--summary", action="store_true",
+                        help="per-n refusals and misreported pole splits instead of per-plant lines")
     args = parser.parse_args()
     if args.diff:
         diff(*args.diff)
     else:
         first, _, last = args.seeds.partition("-")
-        digest(range(int(first), int(last or first) + 1))
+        digest(range(int(first), int(last or first) + 1), args.summary)
