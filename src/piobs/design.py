@@ -28,7 +28,8 @@ from .systems import SystemRealization
 #: radius is below 1 - margin.
 DEFAULT_MARGIN = 1e-6
 #: Largest accepted eigenvalue error of a placement: the pairing distance
-#: between eig(A + KC) and the targets, over max(1, max|target|).
+#: between eig(A + KC) and the targets, over max(1, max|target|), with
+#: repeated targets judged by cluster (see :func:`_placement_error`).
 PLACEMENT_TOL = 1e-6
 #: A placement below this eigenvalue error counts as exact.
 PLACEMENT_EXACT_TOL = 1e-8
@@ -193,6 +194,27 @@ def _sylvester_applies(A, targets):
                 and gap > 1e-8 * max(scale, float(np.max(np.abs(eigA)))))
 
 
+def _placement_error(M, targets, scale):
+    """Eigenvalue error of a placed M = A + KC, relative to ``scale``.
+
+    The pairing distance of eig(M) and distinct targets. A target repeated
+    m times is a Jordan block of a nonderogatory M (p = 1, cyclic route):
+    rounding eps ||M|| scatters its eigenvalues by (eps ||M||)^(1/m) but
+    moves their mean by O(eps ||M||), so the cluster nearest it counts with
+    the error of its mean and its spread to the power m.
+    """
+    eigs = linalg.eigenvalues(M)
+    centres, counts = np.unique(np.asarray(targets, dtype=complex), return_counts=True)
+    group = np.abs(eigs[:, None] - centres[None, :]).argmin(axis=1)
+    if counts.max() == 1 or not np.array_equal(np.bincount(group, minlength=counts.size), counts):
+        return linalg.pairing_distance(eigs, targets) / scale
+    err = 0.0
+    for k, m in enumerate(counts):
+        gap = np.abs(eigs[group == k] - centres[k]) / scale
+        err = max(err, abs(np.mean(eigs[group == k]) - centres[k]) / scale, gap.max() ** m)
+    return err
+
+
 def _sylvester_candidates(A, C, targets, rng, attempts=8):
     """Gain candidates from the Sylvester-equation placement method.
 
@@ -298,7 +320,7 @@ def _placement_search(A, C, targets, seed):
     best_K, best_err = None, np.inf
     exact = []
     for K in candidates():
-        err = linalg.pairing_distance(linalg.eigenvalues(A + K @ C), targets) / scale
+        err = _placement_error(A + K @ C, targets, scale)
         if err < best_err:
             best_K, best_err = K, err
         if err < PLACEMENT_EXACT_TOL:
@@ -318,7 +340,7 @@ def _placement_search(A, C, targets, seed):
     return best_K
 
 
-def riccati_gain(A, C):
+def _riccati_gain(A, C):
     """K = -A P C^T (I + C P C^T)^-1 of the filter Riccati equation, Q = R = I.
 
     P = A P A^T - A P C^T (I + C P C^T)^-1 C P A^T + I is solved by the
@@ -364,7 +386,7 @@ def stabilization_plan(A, C, config=None):
     placement search make the plan: PBH decides existence, the decomposition
     gives q and the basis, and the q targets are placed on its observable
     block (A11, C1), the whole pair when q = n; default targets that cannot
-    be placed give way to :func:`riccati_gain` and its achieved poles. When
+    be placed give way to :func:`_riccati_gain` and its achieved poles. When
     q < n, K is lifted by T_k and the unobservable spectrum is inherited.
     Only q = n is checked against PBH (placement would move a mode PBH calls
     unobservable). A q < n plan is checked before it is returned: if A + KC
@@ -391,7 +413,7 @@ def stabilization_plan(A, C, config=None):
         if config.target_poles is not None:
             raise
         # Default poles are no promise: report what the Riccati gain achieves.
-        K = riccati_gain(dec.A11, dec.C1)
+        K = _riccati_gain(dec.A11, dec.C1)
         targets = tuple(complex(z) for z in linalg.eigenvalues(dec.A11 + K @ dec.C1))
     if q < n:
         K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
@@ -434,14 +456,9 @@ def coupling_matrix(T, phi, lambda_block=None):
     n, p = T.shape[0], phi.shape[0]
     if p > n:
         raise DimensionError(f"phi is {p}x{p} but T is only {n}x{n}")
-    if lambda_block is None:
-        lam = np.zeros((n - p, p))
-    else:
-        lam = np.asarray(lambda_block, dtype=float)
-        if lam.shape != (n - p, p):
-            raise DimensionError(
-                f"lambda block must have shape ({n - p}, {p}), got {lam.shape}"
-            )
+    lam = np.zeros((n - p, p)) if lambda_block is None else np.asarray(lambda_block, dtype=float)
+    if lam.shape != (n - p, p):
+        raise DimensionError(f"lambda block must have shape ({n - p}, {p}), got {lam.shape}")
     stacked = np.vstack([np.eye(p) - phi, lam])
     return linalg.solve(T, stacked)
 
@@ -494,9 +511,7 @@ class PiObserver:
         """Block-triangular matrix similar to the augmented one for valid gains."""
         A, C = self.system.A, self.system.C
         n, p = self.system.n, self.system.p
-        top = np.hstack([A + self.K @ C, np.zeros((n, p))])
-        bottom = np.hstack([-C, self.phi])
-        return np.vstack([top, bottom])
+        return np.block([[A + self.K @ C, np.zeros((n, p))], [-C, self.phi]])
 
     def predicted_spectrum(self):
         """Eigenvalues of A + KC together with those of phi, sorted."""
@@ -540,16 +555,9 @@ class VerificationReport:
 
     def failed_checks(self):
         """Names of every failed check, the spectrum-split diagnostic included."""
-        names = []
-        if not self.schur_ok:
-            names.append("augmented-schur-stability")
-        if not self.spectrum_ok:
-            names.append("spectrum-split")
-        if not self.similarity_ok:
-            names.append("similarity-identity")
-        if not self.phi_ok:
-            names.append("phi-identity")
-        return tuple(names)
+        checks = {"augmented-schur-stability": self.schur_ok, "spectrum-split": self.spectrum_ok,
+                  "similarity-identity": self.similarity_ok, "phi-identity": self.phi_ok}
+        return tuple(name for name, ok in checks.items() if not ok)
 
 
 def verify_design(observer, margin=None):
@@ -628,16 +636,8 @@ def design_pi_observer(system, config=None):
     F = -(A - L @ C) @ X + X @ (-C @ X + np.eye(p))
 
     observer = PiObserver(
-        system=system,
-        L=L,
-        F=F,
-        K=plan.K,
-        T=T,
-        X=X,
-        phi=phi,
-        lambda_block=lam,
-        assigned_poles=plan.assigned_poles,
-        inherited_poles=plan.inherited_poles,
+        system=system, L=L, F=F, K=plan.K, T=T, X=X, phi=phi, lambda_block=lam,
+        assigned_poles=plan.assigned_poles, inherited_poles=plan.inherited_poles,
         config=config,
     )
     report = verify_design(observer)

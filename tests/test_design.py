@@ -19,10 +19,10 @@ from piobs import (
     place_poles,
     reportio,
     place_stabilizing_gain,
-    riccati_gain,
     verify_design,
 )
 from piobs.design import (
+    _riccati_gain,
     _real_block_diag,
     _sylvester_candidates,
     coupling_matrix,
@@ -86,6 +86,40 @@ class TestPlacePoles:
         K = place_poles(A, C, targets, seed=1)
         coeffs = linalg.poly_from_roots(targets)
         assert oracles.assignment_error(A, C, K, coeffs) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "p, targets",
+        [(1, (0.0,) * 3), (1, (0.2, 0.2, 0.2, -0.1)), (2, (0.2, 0.2, 0.2, -0.1)), (2, (0.0,) * 5)],
+    )
+    def test_repeated_targets_design(self, rng, p, targets):
+        # A target repeated m times is a Jordan block of A + KC: rounding
+        # scatters its computed eigenvalues by (eps ||A + KC||)^(1/m), above
+        # PLACEMENT_TOL for m >= 3, while the gain places the characteristic
+        # polynomial to rounding. Deadbeat (0, 0, 0) at n = 3 is the first case.
+        n = len(targets)
+        coeffs = linalg.poly_from_roots(targets)
+        scatter = 0.0
+        for seed in range(4):
+            A, C = gen.random_observable_pair(rng, n, p, radius=1.2)
+            system = SystemRealization(A, np.eye(n)[:, :1], C)
+            obs = design_pi_observer(system, DesignConfig(target_poles=targets, seed=seed))
+            assert oracles.assignment_error(A, C, obs.K, coeffs) <= 1e-12
+            closed = linalg.eigenvalues(A + obs.K @ C)
+            scatter = max(scatter, linalg.pairing_distance(closed, targets))
+        assert scatter > 1e-6
+
+    def test_double_target_on_a_badly_scaled_plant(self):
+        # ||A + KC|| ~ 2e3 puts the double pole's scatter near 1e-4, while
+        # its cluster mean stays within PLACEMENT_TOL.
+        rng = np.random.default_rng(7)
+        A = np.diag([3e3, -1.5e3, 0.3]) + rng.standard_normal((3, 3))
+        C = rng.standard_normal((1, 3))
+        targets = [0.1, 0.1, -0.2]
+        K = place_poles(A, C, targets)
+        assert oracles.assignment_error(A, C, K, linalg.poly_from_roots(targets)) <= 1e-7
+        closed = linalg.eigenvalues(A + K @ C)
+        assert abs(closed[np.abs(closed - 0.1) < 1e-2].mean() - 0.1) <= 1e-6
+        assert linalg.pairing_distance(closed, targets) > 1e-6
 
     def test_square_output_matrix_is_exact(self, rng):
         A = rng.standard_normal((3, 3))
@@ -182,7 +216,7 @@ class TestRiccatiGain:
             A[q:, q:] = 0.6 * gen.rand_orthogonal(rng, n - q)
             S = gen.rand_orthogonal(rng, n)
             A, C = S @ A @ S.T, np.hstack([C1, np.zeros((p, n - q))]) @ S.T
-            K = riccati_gain(A, C)
+            K = _riccati_gain(A, C)
             P = scipy.linalg.solve_discrete_are(A.T, C.T, np.eye(n), np.eye(p))
             K_ref = -A @ P @ C.T @ np.linalg.inv(np.eye(p) + C @ P @ C.T)
             assert np.abs(K - K_ref).max() <= 1e-9 * max(1.0, np.abs(K_ref).max())
@@ -193,7 +227,7 @@ class TestRiccatiGain:
     )
     def test_undetectable_pair_is_a_riccati_error(self, hidden, match):
         with pytest.raises(NumericalError, match=f"Riccati doubling {match}"):
-            riccati_gain(np.diag([0.5, hidden]), [[1.0, 0.0]])
+            _riccati_gain(np.diag([0.5, hidden]), [[1.0, 0.0]])
 
     def test_default_poles_fall_back_and_explicit_poles_are_refused(self, bench_plants):
         # An observable n = 32 plant on which no candidate places the default
@@ -205,8 +239,15 @@ class TestRiccatiGain:
         system = SystemRealization(plant.A, plant.B, plant.C)
         obs = design_pi_observer(system, DesignConfig(seed=1))
         assert obs.verification.passed and obs.verification.spectrum_ok
-        achieved = linalg.eigenvalues(system.A + obs.K @ system.C)
-        assert linalg.pairing_distance(achieved, obs.assigned_poles) <= 1e-9
+        # The gain is the filter DARE gain of the plant, and it stabilizes.
+        import scipy.linalg
+
+        A, C = system.A, system.C
+        p = C.shape[0]
+        P = scipy.linalg.solve_discrete_are(A.T, C.T, np.eye(32), np.eye(p))
+        K_ref = -A @ P @ C.T @ np.linalg.inv(np.eye(p) + C @ P @ C.T)
+        assert np.abs(obs.K - K_ref).max() <= 1e-9 * np.abs(K_ref).max()
+        assert analysis.is_schur_stable(A + obs.K @ C, margin=1e-2)
         explicit = DesignConfig(target_poles=default_target_poles(32), seed=1)
         with pytest.raises(NumericalError, match="pole placement failed"):
             design_pi_observer(system, explicit)
