@@ -69,7 +69,8 @@ class DesignConfig:
     cannot be placed; None picks the defaults, or the Riccati gain's poles.
     ``phi`` is the integral-loop matrix (scalar means a multiple of the
     identity), ``lambda_block`` the free (n-p) x p block entering the
-    coupling matrix. ``seed`` feeds the randomized multi-output placement;
+    coupling matrix. ``seed`` feeds the random draws of the Sylvester
+    placement (the p = 1 gain is unique, so there only its rounding moves);
     ``tol_eig`` is the pairing tolerance for spectrum comparisons during
     verification.
     """
@@ -145,33 +146,28 @@ class DesignConfig:
         return lam
 
 
-def _single_input_gain(M, b, coeffs):
-    """Row g with char(M + b g) equal to the given polynomial, or None.
+def _chain_links(shifts, p):
+    """For each shift, the index of its copy p copies earlier, else -1.
 
-    For a single input the coefficient map g -> char(M + b g) is exactly
-    affine (rank-one update determinant lemma), so the gain solves a linear
-    system whose columns are probed with unit gains; one refinement pass
-    removes the rounding of the probe evaluations. Returns None when the
-    system is numerically singular, i.e. (M, b) is not controllable.
+    The m copies of a repeated shift thereby form min(p, m) chains.
     """
-    n = M.shape[0]
-    c0 = linalg.char_poly(M)[1:]
-    W = np.empty((n, n))
-    for i in range(n):
-        probe = M + np.outer(b, np.eye(n)[i])
-        W[:, i] = linalg.char_poly(probe)[1:] - c0
-    if linalg.reciprocal_condition(W) < 1e-13:
-        return None
-    target = np.asarray(coeffs, dtype=float)[1:]
-    g = np.linalg.solve(W, target - c0)
-    for _ in range(2):
-        achieved = linalg.char_poly(M + np.outer(b, g))[1:]
-        g += np.linalg.solve(W, target - achieved)
-    return g
+    seen, links = {}, []
+    for j, z in enumerate(shifts):
+        copies = seen.setdefault(z, [])
+        links.append(copies[-p] if len(copies) >= p else -1)
+        copies.append(j)
+    return links
 
 
-def _real_block_diag(targets):
-    """Real block-diagonal matrix whose spectrum is the given pole multiset."""
+def _real_block_diag(targets, p):
+    """Real upper block-bidiagonal matrix whose spectrum is the given pole multiset.
+
+    Real targets come first, in order of first appearance, then a 2 x 2
+    rotation block per conjugate pair. The m copies of a repeated target are
+    chained into min(p, m) real Jordan chains: copy k links to copy k - p by
+    a unit entry (or a 2 x 2 identity block) above the diagonal. With p = n
+    nothing links and the matrix is block diagonal.
+    """
     reals, pairs = linalg.group_conjugate_roots(targets)
     r = len(reals)
     D = np.zeros((r + 2 * len(pairs),) * 2)
@@ -179,35 +175,31 @@ def _real_block_diag(targets):
     for i, z in enumerate(pairs):
         j = r + 2 * i
         D[j:j + 2, j:j + 2] = [[z.real, z.imag], [-z.imag, z.real]]
+    for j, k in enumerate(_chain_links(reals + pairs, p)):
+        if k >= 0:
+            size, (row, col) = (1, (k, j)) if j < r else (2, (2 * k - r, 2 * j - r))
+            D[row:row + size, col:col + size] = np.eye(size)
     return D
 
 
-def _sylvester_applies(A, targets):
-    """True when the targets are distinct and clear of the spectrum of A."""
-    vals = np.asarray(targets, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    eigA = linalg.eigenvalues(A)
-    gap = np.min(np.abs(vals[:, None] - eigA[None, :]))
-    return bool(diffs.min() > 1e-8 * scale
-                and gap > 1e-8 * max(scale, float(np.max(np.abs(eigA)))))
+def _placement_error(eigs, targets, scale):
+    """Eigenvalue error of a placement whose A + KC has eigenvalues ``eigs``.
 
-
-def _placement_error(M, targets, scale):
-    """Eigenvalue error of a placed M = A + KC, relative to ``scale``.
-
-    The pairing distance of eig(M) and distinct targets. A target repeated
-    m times is a Jordan block of a nonderogatory M (p = 1, cyclic route):
-    rounding eps ||M|| scatters its eigenvalues by (eps ||M||)^(1/m) but
-    moves their mean by O(eps ||M||), so the cluster nearest it counts with
-    the error of its mean and its spread to the power m.
+    Relative to ``scale``: the pairing distance of ``eigs`` and distinct
+    targets. A target repeated m times is placed as Jordan chains (see
+    :func:`_real_block_diag`): rounding eps ||A + KC|| scatters its
+    eigenvalues by up to (eps ||A + KC||)^(1/m) but moves their mean by
+    O(eps ||A + KC||), so the cluster nearest it counts with the error of
+    its mean and its spread to the power m. A pairing is never closer than
+    the farthest eigenvalue is from its nearest target, so when that bound
+    already exceeds ``PLACEMENT_TOL`` it is returned without pairing.
     """
-    eigs = linalg.eigenvalues(M)
     centres, counts = np.unique(np.asarray(targets, dtype=complex), return_counts=True)
-    group = np.abs(eigs[:, None] - centres[None, :]).argmin(axis=1)
+    dist = np.abs(eigs[:, None] - centres[None, :])
+    group = dist.argmin(axis=1)
     if counts.max() == 1 or not np.array_equal(np.bincount(group, minlength=counts.size), counts):
-        return linalg.pairing_distance(eigs, targets) / scale
+        bound = float(dist.min(axis=1).max()) / scale
+        return bound if bound > PLACEMENT_TOL else linalg.pairing_distance(eigs, targets) / scale
     err = 0.0
     for k, m in enumerate(counts):
         gap = np.abs(eigs[group == k] - centres[k]) / scale
@@ -219,68 +211,58 @@ def _sylvester_candidates(A, C, targets, rng, attempts=8):
     """Gain candidates from the Sylvester-equation placement method.
 
     Each attempt draws a random ``G`` (p x n) and solves
-    ``A^T X - X D = -C^T G = R`` for X, with ``D = _real_block_diag(targets)``;
-    then ``F = G X^-1`` places the targets on ``A^T + C^T F``. D is block
-    diagonal, so X splits by block: the column of a real target ``r`` solves
-    ``(A^T - r I) x = R[:, j]``, and the two columns of a conjugate pair
-    ``z`` are the real and imaginary parts of the solution ``w`` of
-    ``(A^T - z I) w = R[:, j] + i R[:, j+1]``: one complex n x n solve per
-    block. Works only where :func:`_sylvester_applies`; the caller checks.
+    ``A^T X - X D = -C^T G = R`` for X, with ``D = _real_block_diag(targets, p)``
+    (Bhattacharyya & de Souza 1982); then ``F = G X^-1`` places the targets
+    on ``A^T + C^T F``. D is upper block-bidiagonal, so X is solved block by
+    block: the column of a real target ``r`` solves ``(A^T - r I) x = R[:, j]``,
+    and the two columns of a conjugate pair ``z`` are the real and imaginary
+    parts of the solution ``w`` of ``(A^T - z I) w = R[:, j] + i R[:, j+1]``:
+    one complex n x n solve per block. A chained block adds the solution of
+    the copy it links to onto its right-hand side. When a target lies within
+    1e-8 of eig(A), each attempt first shifts A by a random ``K0 C`` and
+    yields ``K0 + F^T``.
     """
     p, n = C.shape
     reals, pairs = linalg.group_conjugate_roots(targets)
     r = len(reals)
     shifts = reals + pairs
+    links = _chain_links(shifts, p)
+    eigA = linalg.eigenvalues(A)
+    scale = max(1.0, max(abs(z) for z in targets), float(np.max(np.abs(eigA))))
+    touches = np.min(np.abs(np.asarray(targets)[:, None] - eigA[None, :])) <= 1e-8 * scale
     for _ in range(attempts):
+        K0 = rng.standard_normal((n, p)) if touches else None
         G = rng.standard_normal((p, n))
         R = -C.T @ G
+        At = A.T if K0 is None else (A + K0 @ C).T
         rhs = np.hstack([R[:, :r], R[:, r::2] + 1j * R[:, r + 1::2]])
+        W = np.empty((n, len(shifts)), dtype=complex)
         try:
-            W = np.hstack([np.linalg.solve(A.T - z * np.eye(n), rhs[:, j:j + 1])
-                           for j, z in enumerate(shifts)])
+            for j, (z, k) in enumerate(zip(shifts, links)):
+                b = rhs[:, j:j + 1] if k < 0 else rhs[:, j:j + 1] + W[:, k:k + 1]
+                W[:, j:j + 1] = np.linalg.solve(At - z * np.eye(n), b)
         except np.linalg.LinAlgError:
             return
         X = np.empty((n, n))
         X[:, :r] = W[:, :r].real
         X[:, r::2] = W[:, r:].real
         X[:, r + 1::2] = W[:, r:].imag
-        if linalg.reciprocal_condition(X) < 1e-12:
+        try:
+            F = np.linalg.solve(X.T, G.T).T
+        except np.linalg.LinAlgError:
             continue
-        F = np.linalg.solve(X.T, G.T).T
-        yield F.T
-
-
-def _cyclic_candidates(A, C, coeffs, rng, attempts=12):
-    """Gain candidates from cyclic-vector reduction to a single-input problem.
-
-    A random preliminary gain makes the dual closed-loop matrix cyclic with
-    respect to a random input combination; the single-input solve then
-    assigns the full polynomial. Handles repeated target poles.
-    """
-    Ad, Bd = A.T, C.T
-    n, p = Bd.shape
-    for i in range(attempts):
-        if i == 0:
-            F0 = np.zeros((p, n))
-            v = np.ones(p)
-        else:
-            F0 = rng.standard_normal((p, n)) * (0.5 if i % 2 else 0.1)
-            v = rng.standard_normal(p)
-        f = _single_input_gain(Ad + Bd @ F0, Bd @ v, coeffs)
-        if f is None:
-            continue
-        yield (F0 + np.outer(v, f)).T
+        yield F.T if K0 is None else K0 + F.T
 
 
 def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
     """Output-injection gain K with eig(A + KC) matching the target poles.
 
     Requires (A, C) observable and a conjugate-closed multiset of n targets.
-    Candidates: inversion when C is square, a single-input solve when p = 1,
-    and Sylvester, or for p > 1 a cyclic-vector reduction where targets
-    repeat or touch eig(A). Each is judged by its eigenvalue error (see
-    ``PLACEMENT_TOL``): the smallest-norm exact one wins, else the best
-    within ``PLACEMENT_TOL``, else :class:`NumericalError` is raised.
+    Candidates: inversion when C is square, and the Sylvester method for
+    every p, whose repeated targets become Jordan chains. Each is judged by
+    its eigenvalue error (see ``PLACEMENT_TOL``): the smallest-norm exact
+    one wins, else the best within ``PLACEMENT_TOL``, else
+    :class:`NumericalError` is raised.
     """
     A, C = analysis.check_pair(A, C)
     n = A.shape[0]
@@ -297,30 +279,22 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
 
 
 def _placement_search(A, C, targets, seed):
-    """The strategy search of :func:`place_poles`, without its input checks."""
+    """The candidate search of :func:`place_poles`, without its input checks."""
     p, n = C.shape
-    coeffs = linalg.poly_from_roots(targets)
     scale = max(1.0, max(abs(z) for z in targets))
     rng = np.random.default_rng(seed)
 
     def candidates():
         if p == n:
             # C invertible: K = (R - A) C^{-1} places the spectrum exactly.
-            R = _real_block_diag(targets)
+            R = _real_block_diag(targets, p)
             yield np.linalg.solve(C.T, (R - A).T).T
-        if p == 1:
-            g = _single_input_gain(A.T, C.reshape(n), coeffs)
-            if g is not None:
-                yield np.asarray(g).reshape(n, 1)
-        if _sylvester_applies(A, targets):
-            yield from _sylvester_candidates(A, C, targets, rng)
-        elif p > 1:
-            yield from _cyclic_candidates(A, C, coeffs, rng)
+        yield from _sylvester_candidates(A, C, targets, rng)
 
     best_K, best_err = None, np.inf
     exact = []
     for K in candidates():
-        err = _placement_error(A + K @ C, targets, scale)
+        err = _placement_error(linalg.eigenvalues(A + K @ C), targets, scale)
         if err < best_err:
             best_K, best_err = K, err
         if err < PLACEMENT_EXACT_TOL:
@@ -369,6 +343,38 @@ def _riccati_gain(A, C):
     return -A @ np.linalg.solve(np.eye(p) + CH @ C.T, CH).T
 
 
+def _lifted_plan(A, C, dec, K, poles, stage):
+    """The block gain K lifted to (A, C) by T_k, and why it fails (None when it holds).
+
+    Raises :class:`NumericalError` when A + KC still couples the observable
+    block to the unobservable one: the stack misjudged q, so the inherited
+    poles are not poles of A + KC, and no gain mends that. Otherwise one
+    eigenvalue call serves both checks of the plan: A + KC must be Schur
+    stable and its eigenvalues must be ``poles`` (assigned + inherited)
+    within ``PLACEMENT_TOL``; ill-conditioned placed poles can pass on the
+    observable block and still move in the lift.
+    """
+    n, (q, p) = A.shape[0], K.shape
+    K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
+    closed = A + K @ C
+    coupling = float(np.max(np.abs(dec.T_k[:, :q].T @ closed @ dec.T_k[:, q:])))
+    if coupling > SPLIT_COUPLING_TOL * max(1.0, float(np.max(np.abs(A)))):
+        raise NumericalError(
+            f"observability decomposition is inconsistent: A + KC couples "
+            f"its observable block to the unobservable one ({coupling:.3e}), "
+            f"so the stack rank q = {q} misjudged the observable dimension"
+        )
+    eigs = linalg.eigenvalues(closed)
+    radius = float(np.max(np.abs(eigs)))
+    if not radius < 1.0:
+        return K, f"{stage} did not stabilize A + KC: spectral radius {radius:.9g}"
+    err = _placement_error(eigs, poles, max(1.0, max(abs(z) for z in poles)))
+    if err > PLACEMENT_TOL:
+        return K, (f"{stage} missed the assigned and inherited poles on A + KC: "
+                   f"relative eigenvalue error {err:.3e} exceeds {PLACEMENT_TOL:.0e}")
+    return K, None
+
+
 @dataclass(frozen=True)
 class GainPlan:
     """Stabilizing gain plus the bookkeeping of which poles were assignable."""
@@ -389,15 +395,18 @@ def stabilization_plan(A, C, config=None):
     be placed give way to :func:`_riccati_gain` and its achieved poles. When
     q < n, K is lifted by T_k and the unobservable spectrum is inherited.
     Only q = n is checked against PBH (placement would move a mode PBH calls
-    unobservable). A q < n plan is checked before it is returned: if A + KC
-    still couples the two blocks (the stack misjudged q, so the inherited
-    poles are not poles of A + KC) or is not Schur stable, it raises
+    unobservable). A q < n plan is checked on the lifted A + KC before it is
+    returned: if A + KC still couples the two blocks (the stack misjudged q,
+    so the inherited poles are not poles of A + KC), it raises
+    :class:`NumericalError`; if it is not Schur stable or misses the
+    assigned + inherited poles by more than ``PLACEMENT_TOL``, default
+    targets give way to the Riccati gain and explicit ones raise
     :class:`NumericalError`. A q = n plan is judged by the gate of
     :func:`design_pi_observer`.
     """
     config = config or DesignConfig()
     A, C = analysis.check_pair(A, C)
-    n, p = A.shape[0], C.shape[0]
+    n = A.shape[0]
     verdict = analysis.is_detectable(A, C, config.tol_rank)
     if not verdict:
         raise NotDetectableError(verdict.witnesses)
@@ -407,31 +416,28 @@ def stabilization_plan(A, C, config=None):
     if q == n:
         # Placement would move a mode PBH calls unobservable: refuse instead.
         analysis.observability_verdict(verdict.classifications, q)
+    explicit = config.target_poles is not None
+    inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
     try:
         K = _placement_search(dec.A11, dec.C1, targets, config.seed)
     except NumericalError:
-        if config.target_poles is not None:
+        if explicit:
             raise
+        K = None
+    if K is not None and q < n:
+        K, miss = _lifted_plan(A, C, dec, K, targets + inherited, "pole placement")
+        if miss:
+            if explicit:
+                raise NumericalError(miss)
+            K = None
+    if K is None:
         # Default poles are no promise: report what the Riccati gain achieves.
         K = _riccati_gain(dec.A11, dec.C1)
         targets = tuple(complex(z) for z in linalg.eigenvalues(dec.A11 + K @ dec.C1))
-    if q < n:
-        K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
-        closed = A + K @ C
-        coupling = float(np.max(np.abs(dec.T_k[:, :q].T @ closed @ dec.T_k[:, q:])))
-        if coupling > SPLIT_COUPLING_TOL * max(1.0, float(np.max(np.abs(A)))):
-            raise NumericalError(
-                f"observability decomposition is inconsistent: A + KC couples "
-                f"its observable block to the unobservable one ({coupling:.3e}), "
-                f"so the stack rank q = {q} misjudged the observable dimension"
-            )
-        stability = analysis.is_schur_stable(closed)
-        if not stability:
-            raise NumericalError(
-                f"pole placement did not stabilize A + KC: spectral radius "
-                f"{stability.spectral_radius:.9g}"
-            )
-    inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
+        if q < n:
+            K, miss = _lifted_plan(A, C, dec, K, targets + inherited, "the Riccati gain")
+            if miss:
+                raise NumericalError(miss)
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)
 
 

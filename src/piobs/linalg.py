@@ -22,7 +22,7 @@ from .errors import (
 
 #: Relative singular-value threshold for numerical rank decisions.
 DEFAULT_TOL_RANK = 1e-9
-#: Eigenvalue tolerance used when comparing spectra or polynomial roots.
+#: Eigenvalue tolerance used when comparing spectra.
 DEFAULT_TOL_EIG = 1e-8
 #: Reciprocal condition floor below which a linear solve is refused.
 DEFAULT_TOL_COND = 1e-12
@@ -108,31 +108,6 @@ def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol_rank * sv[0]))
-
-
-def char_poly(M):
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    Computed from the eigenvalues, so roots of the result match
-    :func:`eigenvalues` by construction.
-    """
-    M = as_square(M, "char_poly: matrix")
-    return poly_from_roots(eigenvalues(M))
-
-
-def poly_from_roots(roots, tol=CONJUGATE_TOL):
-    """Real monic polynomial with the given conjugate-closed root multiset.
-
-    Real roots contribute linear factors and conjugate pairs contribute real
-    quadratic factors, so the coefficients are exactly real.
-    """
-    reals, pairs = group_conjugate_roots(roots, tol=tol)
-    coeffs = np.array([1.0])
-    for r in reals:
-        coeffs = np.convolve(coeffs, [1.0, -r])
-    for z in pairs:
-        coeffs = np.convolve(coeffs, [1.0, -2.0 * z.real, z.real**2 + z.imag**2])
-    return coeffs
 
 
 def group_conjugate_roots(values, tol=CONJUGATE_TOL):

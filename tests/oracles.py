@@ -1,7 +1,7 @@
 """Independent oracles for the test suite.
 
-Exact rational arithmetic (Fractions) for ranks and small characteristic
-polynomials, plus closed-form root formulas. These never touch the library
+Exact rational arithmetic (Fractions) for ranks, closed-form root formulas
+and characteristic-polynomial comparisons. These never touch the library
 code paths they are used to check.
 """
 
@@ -64,59 +64,6 @@ def exact_observability_rank(A, C):
     return exact_rank(stacked)
 
 
-# Polynomials as low-to-high coefficient lists of Fractions.
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_det(P):
-    """Determinant of a matrix with polynomial entries (Laplace, first row)."""
-    size = len(P)
-    if size == 1:
-        return P[0][0]
-    det = [Fraction(0)]
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in P[1:]]
-        term = _poly_mul(P[0][j], _poly_det(minor))
-        if j % 2:
-            term = [-v for v in term]
-        det = _poly_add(det, term)
-    return det
-
-
-def exact_char_poly(M):
-    """Characteristic polynomial det(zI - M), highest degree first.
-
-    Cofactor expansion over exact rationals; intended for n <= 4.
-    """
-    rows = _frac_rows(M)
-    n = len(rows)
-    P = [
-        [
-            [-rows[i][j], Fraction(1)] if i == j else [-rows[i][j]]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    low_to_high = _poly_det(P)
-    return np.array([float(v) for v in reversed(low_to_high)])
-
-
 def permuted_max_distance(a, b):
     """Optimal multiset pairing distance, used to compare spectra in tests."""
     import scipy.optimize
@@ -134,3 +81,8 @@ def assignment_error(A, C, K, target_coeffs):
     achieved = np.poly(np.linalg.eigvals(A + K @ C)).real
     scale = max(1.0, float(np.max(np.abs(target_coeffs))))
     return float(np.max(np.abs(achieved - target_coeffs))) / scale
+
+
+def target_coeffs(targets):
+    """Real monic polynomial with the given conjugate-closed roots, highest degree first."""
+    return np.poly(np.asarray(targets, dtype=complex)).real

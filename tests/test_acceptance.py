@@ -151,7 +151,7 @@ def test_criterion_6_pole_placement_accuracy():
             targets[0] = 0.3 + 0.15j
             targets[1] = 0.3 - 0.15j
         K = place_poles(A, C, targets, seed=i)
-        err = oracles.assignment_error(A, C, K, linalg.poly_from_roots(targets))
+        err = oracles.assignment_error(A, C, K, oracles.target_coeffs(targets))
         worst = max(worst, err)
         assert err <= 1e-6
         dist = linalg.pairing_distance(linalg.eigenvalues(A + K @ C), targets)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,41 +40,6 @@ class TestEigenvalues:
             n = int(rng.integers(1, 9))
             eig = linalg.eigenvalues(rng.standard_normal((n, n)))
             assert linalg.is_conjugate_closed(eig)
-
-    def test_roots_of_char_poly_recover_spectrum(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            M = rng.standard_normal((n, n))
-            eig = linalg.eigenvalues(M)
-            roots = np.roots(linalg.char_poly(M))
-            assert linalg.pairing_distance(eig, roots) < 1e-7
-
-
-class TestCharPoly:
-    def test_scalar(self):
-        assert linalg.char_poly([[0.5]]) == pytest.approx([1.0, -0.5])
-
-    def test_nilpotent(self):
-        assert linalg.char_poly([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(
-            [1.0, 0.0, 0.0], abs=1e-15
-        )
-
-    def test_companion_against_exact_cofactor_oracle(self):
-        M = [[0.0, 1.0], [-0.02, 0.3]]
-        exact = oracles.exact_char_poly(
-            [[0, 1], [Fraction(-1, 50), Fraction(3, 10)]]
-        )
-        assert exact == pytest.approx([1.0, -0.3, 0.02])
-        assert linalg.char_poly(M) == pytest.approx(exact, abs=1e-12)
-
-    def test_random_integer_matrices_against_oracle(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(1, 5))
-            M = rng.integers(-3, 4, size=(n, n))
-            got = linalg.char_poly(M.astype(float))
-            exact = oracles.exact_char_poly(M.tolist())
-            scale = max(1.0, np.abs(exact).max())
-            assert np.abs(got - exact).max() <= 1e-8 * scale
 
 
 class TestNumericalRank:
@@ -230,15 +194,6 @@ class TestCompleteRowBasis:
 
 
 class TestPolynomialsAndPairing:
-    def test_poly_from_conjugate_pair_is_real(self):
-        coeffs = linalg.poly_from_roots([0.3 + 0.4j, 0.3 - 0.4j])
-        assert coeffs.dtype == float
-        assert coeffs == pytest.approx([1.0, -0.6, 0.25])
-
-    def test_poly_from_roots_rejects_open_pair(self):
-        with pytest.raises(InputError):
-            linalg.poly_from_roots([0.3 + 0.4j, 0.2])
-
     def test_pairing_distance(self):
         a = [1.0, 2.0 + 1.0j]
         b = [2.0 + 1.0j, 1.0 + 1e-9j]
