@@ -192,7 +192,8 @@ def _placement_error(eigs, targets, scale):
     O(eps ||A + KC||), so the cluster nearest it counts with the error of
     its mean and its spread to the power m. A pairing is never closer than
     the farthest eigenvalue is from its nearest target, so when that bound
-    already exceeds ``PLACEMENT_TOL`` it is returned without pairing.
+    already exceeds ``PLACEMENT_TOL`` it is returned without pairing: a value
+    above ``PLACEMENT_TOL`` is a lower bound of the error, not the error.
     """
     centres, counts = np.unique(np.asarray(targets, dtype=complex), return_counts=True)
     dist = np.abs(eigs[:, None] - centres[None, :])
@@ -301,15 +302,19 @@ def _placement_search(A, C, targets, seed):
             exact.append(K)
             # The gain is unique for p = 1; otherwise keep sampling so the
             # smallest-norm exact gain can win (large gains are valid but
-            # wreck the conditioning of everything downstream).
+            # wreck the conditioning of everything downstream). An inexact
+            # p = 1 gain is retried: other rounding can land within tolerance.
             if p == 1 or len(exact) >= 5:
                 break
     if exact:
         return min(exact, key=np.linalg.norm)
     if best_K is None or best_err > PLACEMENT_TOL:
+        chain = max(-(-targets.count(z) // p) for z in targets)
         raise NumericalError(
-            f"pole placement failed: best relative eigenvalue error "
+            f"pole placement failed: relative eigenvalue error at least "
             f"{best_err:.3e} exceeds {PLACEMENT_TOL:.0e}"
+            + (f"; a repeated target forms a Jordan chain of length {chain}, and "
+               f"Sylvester placement loses accuracy on long chains" if chain > 1 else "")
         )
     return best_K
 
@@ -343,16 +348,20 @@ def _riccati_gain(A, C):
     return -A @ np.linalg.solve(np.eye(p) + CH @ C.T, CH).T
 
 
-def _lifted_plan(A, C, dec, K, poles, stage):
+def _lifted_plan(A, C, dec, K, targets, inherited, stage):
     """The block gain K lifted to (A, C) by T_k, and why it fails (None when it holds).
 
     Raises :class:`NumericalError` when A + KC still couples the observable
     block to the unobservable one: the stack misjudged q, so the inherited
     poles are not poles of A + KC, and no gain mends that. Otherwise one
     eigenvalue call serves both checks of the plan: A + KC must be Schur
-    stable and its eigenvalues must be ``poles`` (assigned + inherited)
-    within ``PLACEMENT_TOL``; ill-conditioned placed poles can pass on the
-    observable block and still move in the lift.
+    stable and its eigenvalues must be ``targets`` within ``PLACEMENT_TOL``,
+    since ill-conditioned placed poles can move in the lift. The coupling
+    check makes the ``inherited`` poles, eig(A22), poles of A + KC, but a
+    defective one scatters by (eps ||A||)^(1/m), differently in each
+    eigenvalue call. So each one farther than sqrt(PLACEMENT_TOL) from the
+    targets sets its nearest eigenvalue aside; the rest join the targets,
+    poles linked by gaps below that counting as one at their mean.
     """
     n, (q, p) = A.shape[0], K.shape
     K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
@@ -368,10 +377,21 @@ def _lifted_plan(A, C, dec, K, poles, stage):
     radius = float(np.max(np.abs(eigs)))
     if not radius < 1.0:
         return K, f"{stage} did not stabilize A + KC: spectral radius {radius:.9g}"
-    err = _placement_error(eigs, poles, max(1.0, max(abs(z) for z in poles)))
+    scale = max(1.0, max(abs(z) for z in targets + inherited))
+    near = np.sqrt(PLACEMENT_TOL) * scale
+    inherited = np.asarray(inherited, dtype=complex)
+    apart = np.abs(inherited[:, None] - np.asarray(targets)[None, :]).min(axis=1) > near
+    judged = np.ones(n, dtype=bool)
+    for z in inherited[apart]:
+        judged[np.argmin(np.where(judged, np.abs(eigs - z), np.inf))] = False
+    poles = np.concatenate([targets, inherited[~apart]])
+    linked = np.abs(poles[:, None] - poles[None, :]) <= near
+    for _ in range(poles.size.bit_length()):  # single linkage
+        linked = (linked.astype(float) @ linked) > 0
+    err = _placement_error(eigs[judged], linked @ poles / linked.sum(axis=1), scale)
     if err > PLACEMENT_TOL:
-        return K, (f"{stage} missed the assigned and inherited poles on A + KC: "
-                   f"relative eigenvalue error {err:.3e} exceeds {PLACEMENT_TOL:.0e}")
+        return K, (f"{stage} missed the assigned and inherited poles on A + KC: relative "
+                   f"eigenvalue error at least {err:.3e} exceeds {PLACEMENT_TOL:.0e}")
     return K, None
 
 
@@ -395,12 +415,10 @@ def stabilization_plan(A, C, config=None):
     be placed give way to :func:`_riccati_gain` and its achieved poles. When
     q < n, K is lifted by T_k and the unobservable spectrum is inherited.
     Only q = n is checked against PBH (placement would move a mode PBH calls
-    unobservable). A q < n plan is checked on the lifted A + KC before it is
-    returned: if A + KC still couples the two blocks (the stack misjudged q,
-    so the inherited poles are not poles of A + KC), it raises
-    :class:`NumericalError`; if it is not Schur stable or misses the
-    assigned + inherited poles by more than ``PLACEMENT_TOL``, default
-    targets give way to the Riccati gain and explicit ones raise
+    unobservable). A q < n plan is checked on the lifted A + KC by
+    :func:`_lifted_plan`: still coupled blocks raise :class:`NumericalError`;
+    when A + KC is not Schur stable or misses its poles, default targets
+    give way to the Riccati gain and explicit ones raise
     :class:`NumericalError`. A q = n plan is judged by the gate of
     :func:`design_pi_observer`.
     """
@@ -425,7 +443,7 @@ def stabilization_plan(A, C, config=None):
             raise
         K = None
     if K is not None and q < n:
-        K, miss = _lifted_plan(A, C, dec, K, targets + inherited, "pole placement")
+        K, miss = _lifted_plan(A, C, dec, K, targets, inherited, "pole placement")
         if miss:
             if explicit:
                 raise NumericalError(miss)
@@ -435,7 +453,7 @@ def stabilization_plan(A, C, config=None):
         K = _riccati_gain(dec.A11, dec.C1)
         targets = tuple(complex(z) for z in linalg.eigenvalues(dec.A11 + K @ dec.C1))
         if q < n:
-            K, miss = _lifted_plan(A, C, dec, K, targets + inherited, "the Riccati gain")
+            K, miss = _lifted_plan(A, C, dec, K, targets, inherited, "the Riccati gain")
             if miss:
                 raise NumericalError(miss)
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)

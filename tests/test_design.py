@@ -140,6 +140,16 @@ class TestPlacePoles:
         assert abs(closed[np.abs(closed - 0.1) < 1e-2].mean() - 0.1) <= 1e-6
         assert linalg.pairing_distance(closed, targets) > 1e-6
 
+    def test_long_repeated_chain_is_refused_by_name(self):
+        # Deadbeat at n = 16 with one output is one Jordan chain of length
+        # 16; the Sylvester gain misses it by far more than PLACEMENT_TOL
+        # on this plant, and the refusal says why.
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((16, 16)) / 4.0
+        C = rng.standard_normal((1, 16))
+        with pytest.raises(NumericalError, match="Jordan chain of length 16"):
+            place_poles(A, C, [0.0] * 16)
+
     def test_square_output_matrix_is_exact(self, rng):
         A = rng.standard_normal((3, 3))
         C = rng.standard_normal((3, 3)) + 2 * np.eye(3)
@@ -347,6 +357,42 @@ class TestDesignPipeline:
         plan = stabilization_plan(A, C)
         closed = linalg.eigenvalues(A + plan.K @ C)
         assert linalg.pairing_distance(closed, plan.assigned_poles + plan.inherited_poles) <= PLACEMENT_TOL
+
+    @pytest.mark.parametrize(
+        "hidden, poles",
+        [
+            (0.5 * np.eye(3) + np.eye(3, k=1), None),
+            (0.5 * np.eye(3) + np.eye(3, k=1), "fan"),
+            (np.eye(6, k=-1), None),
+            (np.eye(6, k=-1), "fan"),
+            (np.eye(3, k=-1), (0.0, 0.0, 0.0, 0.0)),
+        ],
+        ids=["J3-default", "J3-fan", "delay6-default", "delay6-fan", "delay3-deadbeat"],
+    )
+    def test_defective_unobservable_block_designs(self, hidden, poles):
+        # An unobserved Jordan block (or delay chain) scatters in every
+        # eigenvalue call by (eps ||A||)^(1/m), differently each time, so
+        # the inherited poles cannot be paired one by one with eig(A + KC).
+        # The plan still designs, and A + KC keeps the block's eigenvalue as
+        # the mean of the scattered ones.
+        rng = np.random.default_rng(5)
+        q, m = 4, hidden.shape[0]
+        A11, C1 = gen.random_observable_pair(rng, q, 1, radius=0.9)
+        A = np.block([[A11, np.zeros((q, m))], [rng.standard_normal((m, q)), hidden]])
+        S = gen.rand_orthogonal(rng, q + m)
+        A, C = S @ A @ S.T, np.hstack([C1, np.zeros((1, m))]) @ S.T
+        targets = default_target_poles(q) if poles == "fan" else poles
+        system = SystemRealization(A, np.ones((q + m, 1)), C)
+        obs = design_pi_observer(system, DesignConfig(target_poles=targets))
+        assert obs.verification.passed
+        assert len(obs.inherited_poles) == m
+        assert abs(np.mean(obs.inherited_poles) - hidden[0, 0]) <= 1e-9
+        # the cluster at the block's eigenvalue: its m copies, and the
+        # deadbeat targets that coincide with them
+        size = m + (targets or ()).count(hidden[0, 0])
+        closed = linalg.eigenvalues(A + obs.K @ C)
+        cluster = closed[np.argsort(np.abs(closed - hidden[0, 0]))[:size]]
+        assert abs(cluster.mean() - hidden[0, 0]) <= 1e-9
 
     def test_stack_misjudged_q_is_refused(self):
         # An observable n = 24 plant of the benchmark population whose
