@@ -25,7 +25,8 @@ def simulate(A, B, C, L, F, U, x0, xhat0, v0, limit):
     step = np.block([[A, np.zeros((n, n + p))], [LC, A - LC, F], [C, -C, np.eye(p)]]).dot
     Z = np.zeros((H + 1, 2 * n + p))
     Z[0] = np.concatenate([x0, xhat0, v0])
-    Z[1:, :n] = Z[1:, n:2 * n] = U @ B.T
+    np.matmul(U, B.T, out=Z[1:, :n])
+    Z[1:, n:2 * n] = Z[1:, :n]
     abort = -1
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, H + 1, _BLOCK):

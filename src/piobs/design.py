@@ -182,18 +182,20 @@ def _real_block_diag(targets, p):
     return D
 
 
-def _placement_error(eigs, targets, scale):
+def _placement_error(eigs, targets, scale, p=1):
     """Eigenvalue error of a placement whose A + KC has eigenvalues ``eigs``.
 
     Relative to ``scale``: the pairing distance of ``eigs`` and distinct
-    targets. A target repeated m times is placed as Jordan chains (see
-    :func:`_real_block_diag`): rounding eps ||A + KC|| scatters its
-    eigenvalues by up to (eps ||A + KC||)^(1/m) but moves their mean by
-    O(eps ||A + KC||), so the cluster nearest it counts with the error of
-    its mean and its spread to the power m. A pairing is never closer than
-    the farthest eigenvalue is from its nearest target, so when that bound
-    already exceeds ``PLACEMENT_TOL`` it is returned without pairing: a value
-    above ``PLACEMENT_TOL`` is a lower bound of the error, not the error.
+    targets. A target repeated m times is placed as Jordan chains of length
+    at most ceil(m/p) (see :func:`_real_block_diag`): rounding eps ||A + KC||
+    scatters its eigenvalues by up to (eps ||A + KC||)^(1/ceil(m/p)) but
+    moves their mean by O(eps ||A + KC||), so the cluster nearest it counts
+    with the error of its mean and its spread to the power ceil(m/p). The
+    default p = 1 takes the power m, the scatter of one Jordan block of size
+    m. A pairing is never closer than the farthest eigenvalue is from its
+    nearest target, so when that bound already exceeds ``PLACEMENT_TOL`` it
+    is returned without pairing: a value above ``PLACEMENT_TOL`` is a lower
+    bound of the error, not the error.
     """
     centres, counts = np.unique(np.asarray(targets, dtype=complex), return_counts=True)
     dist = np.abs(eigs[:, None] - centres[None, :])
@@ -204,7 +206,8 @@ def _placement_error(eigs, targets, scale):
     err = 0.0
     for k, m in enumerate(counts):
         gap = np.abs(eigs[group == k] - centres[k]) / scale
-        err = max(err, abs(np.mean(eigs[group == k]) - centres[k]) / scale, gap.max() ** m)
+        err = max(err, abs(np.mean(eigs[group == k]) - centres[k]) / scale,
+                  gap.max() ** -(-m // p))
     return err
 
 
@@ -295,7 +298,7 @@ def _placement_search(A, C, targets, seed):
     best_K, best_err = None, np.inf
     exact = []
     for K in candidates():
-        err = _placement_error(linalg.eigenvalues(A + K @ C), targets, scale)
+        err = _placement_error(linalg.eigenvalues(A + K @ C), targets, scale, p)
         if err < best_err:
             best_K, best_err = K, err
         if err < PLACEMENT_EXACT_TOL:
@@ -388,6 +391,7 @@ def _lifted_plan(A, C, dec, K, targets, inherited, stage):
     linked = np.abs(poles[:, None] - poles[None, :]) <= near
     for _ in range(poles.size.bit_length()):  # single linkage
         linked = (linked.astype(float) @ linked) > 0
+    # The power stays m (p = 1): a merged unobserved Jordan block scatters by its size.
     err = _placement_error(eigs[judged], linked @ poles / linked.sum(axis=1), scale)
     if err > PLACEMENT_TOL:
         return K, (f"{stage} missed the assigned and inherited poles on A + KC: relative "

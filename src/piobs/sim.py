@@ -169,6 +169,28 @@ def step_observer(system, observer, xhat, v, y, u):
     return xhat_next, v + y - system.C @ xhat
 
 
+def _row_max_abs(M):
+    """``np.abs(M).max(axis=1)`` bit for bit, without building ``np.abs(M)``.
+
+    Each row's max and -min are reduced first; the abs of their maximum turns
+    the -0.0 that an all-zero row gives into the +0.0 of ``np.abs``.
+    """
+    return np.abs(np.maximum(M.max(axis=1), -M.min(axis=1)))
+
+
+def _median(values):
+    """``np.median`` of a 1-D array, bit for bit, from one ``np.partition``.
+
+    The mean of the two middle order statistics (the same entry twice for an
+    odd size), taken directly: ``np.median`` takes it through ``numpy.ma``.
+    The largest entry is partitioned into place too, so a NaN, which sorts
+    last, gives NaN as in ``np.median``.
+    """
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, (lo, hi, -1))
+    return part[-1] if np.isnan(part[-1]) else (part[lo] + part[hi]) / 2
+
+
 def run_simulation(system, observer, config=None):
     """Simulate plant and observer together over the configured horizon.
 
@@ -195,8 +217,8 @@ def run_simulation(system, observer, config=None):
         raise SimulationDivergenceError(step=abort, norm=worst, limit=OVERFLOW_LIMIT)
 
     E = Xh - X
-    err_inf = np.abs(E).max(axis=1)
-    v_inf = np.abs(V).max(axis=1)
+    err_inf = _row_max_abs(E)
+    v_inf = _row_max_abs(V)
     joint = np.maximum(err_inf, v_inf)
     below = joint <= config.convergence_tol
     converged_step = int(np.argmax(below)) if below.any() else None
@@ -244,8 +266,10 @@ def fit_decay_rate(trace, k_start=10, k_end=None, floor=None):
     at the first sample at or below ``floor``: once the error reaches the
     rounding floor it stops following the observer dynamics. The default
     floor is the larger of an eps bound scaled to the plant state and ten
-    times the tail median (the noise plateau). Returns (nan, nan) when fewer
-    than two usable points remain.
+    times the tail median (the noise plateau); the median is the mean of the
+    tail's two middle entries after one ``np.partition`` (see
+    :func:`_median`), equal to ``np.median`` bit for bit. Returns (nan, nan)
+    when fewer than two usable points remain.
     """
     norms = np.maximum(trace.err_inf, trace.v_inf)
     k_end = trace.horizon if k_end is None else min(k_end, trace.horizon)
@@ -257,9 +281,10 @@ def fit_decay_rate(trace, k_start=10, k_end=None, floor=None):
         # Two floor estimates: eps relative to the plant scale, and ten times
         # the tail median, which catches the noise plateau left by large
         # observer gains.
-        eps_floor = 100.0 * np.finfo(float).eps * max(1.0, float(np.abs(trace.x).max()))
+        x_max = max(1.0, float(trace.x.max()), -float(trace.x.min()))
+        eps_floor = 100.0 * np.finfo(float).eps * x_max
         tail = vals[-max(5, vals.size // 10):]
-        floor = max(eps_floor, 10.0 * float(np.median(tail)))
+        floor = max(eps_floor, 10.0 * float(_median(tail)))
     below = vals <= floor
     cut = int(np.argmax(below)) if below.any() else vals.size
     if cut < 2:

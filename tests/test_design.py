@@ -23,6 +23,7 @@ from piobs import (
 )
 from piobs.design import (
     PLACEMENT_TOL,
+    _placement_error,
     _riccati_gain,
     _real_block_diag,
     _sylvester_candidates,
@@ -149,6 +150,14 @@ class TestPlacePoles:
         C = rng.standard_normal((1, 16))
         with pytest.raises(NumericalError, match="Jordan chain of length 16"):
             place_poles(A, C, [0.0] * 16)
+
+    @pytest.mark.parametrize("p, expected", [(1, 1e-8), (2, 1e-4)])
+    def test_repeated_target_spread_counts_to_the_chain_length(self, p, expected):
+        # Two copies of 0.2 form one chain of length 2 at p = 1, whose spread
+        # counts squared, and two chains of length 1 at p = 2.
+        eigs = np.array([0.2 + 1e-4, 0.2 - 1e-4, 0.5], dtype=complex)
+        err = _placement_error(eigs, (0.2, 0.2, 0.5), 1.0, p)
+        assert err == pytest.approx(expected, rel=1e-9)
 
     def test_square_output_matrix_is_exact(self, rng):
         A = rng.standard_normal((3, 3))

@@ -6,6 +6,10 @@ the Kalman decomposition basis, spectrum pairing and traces are numpy code.
 Each command runs in a fresh interpreter, which then must hold no scipy
 module, and a scan of the source keeps a lazy ``import scipy`` inside a
 function from coming back. scipy stays a test dependency, as an oracle.
+
+Two numpy subpackages that numpy loads lazily stay unloaded as well: no
+command loads ``numpy.ma``, and the commands that draw no random numbers
+load no ``numpy.random`` (which pulls in ``secrets`` and ``hashlib``).
 """
 
 import ast
@@ -27,15 +31,18 @@ SRC = str(pathlib.Path(piobs.__file__).resolve().parents[1])
 #: the Kalman decomposition basis.
 DATA = pathlib.Path(__file__).parent / "data"
 OBSERVABLE = str(DATA / "observable5.system.json")
+OBSERVABLE_REPORT = str(DATA / "observable5.design-seed5.json")
 UNOBSERVABLE = str(DATA / "unobservable4.system.json")
 
 
-def scipy_modules_after(code, cwd):
-    """Names of the scipy modules loaded once ``code`` ran in a fresh interpreter."""
+def modules_after(code, cwd, *packages):
+    """Names of the modules of ``packages`` loaded once ``code`` ran in a fresh interpreter."""
     script = (
         code
         + "\nimport json, sys\n"
-        + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        + f"packages = {packages!r}\n"
+        + "print(json.dumps(sorted(m for m in sys.modules\n"
+        + "                        if any(m == p or m.startswith(p + '.') for p in packages))))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
@@ -55,19 +62,19 @@ def worked_files(tmp_path):
 
 
 def test_import_and_argument_parsing_load_no_scipy(tmp_path):
-    loaded = scipy_modules_after(
-        "import piobs, piobs.cli, piobs.reportio; piobs.cli.build_parser()", tmp_path
+    loaded = modules_after(
+        "import piobs, piobs.cli, piobs.reportio; piobs.cli.build_parser()", tmp_path, "scipy"
     )
     assert loaded == set()
 
 
 def test_analyze_and_simulate_do_not_load_scipy_optimize(tmp_path, worked_files):
     system, report = worked_files
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         "from piobs import cli\n"
         f"assert cli.main(['analyze', {system!r}]) == 0\n"
         f"assert cli.main(['simulate', {system!r}, {report!r}, '--horizon', '50']) == 0",
-        tmp_path,
+        tmp_path, "scipy",
     )
     assert "scipy.optimize" not in loaded
 
@@ -81,8 +88,8 @@ def test_design_verify_and_batch_do_not_load_scipy_optimize(tmp_path, worked_fil
         "verify": ["verify", system, report],
         "batch": ["batch", system, "--out-dir", "reports"],
     }[command]
-    loaded = scipy_modules_after(
-        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path
+    loaded = modules_after(
+        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path, "scipy"
     )
     assert "scipy.optimize" not in loaded
 
@@ -95,8 +102,8 @@ def test_analyze_verify_and_simulate_load_no_scipy(tmp_path, worked_files, comma
         "verify": ["verify", system, report],
         "simulate": ["simulate", system, report, "--horizon", "50", "--out", "trace.csv"],
     }[command]
-    loaded = scipy_modules_after(
-        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path
+    loaded = modules_after(
+        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path, "scipy"
     )
     assert loaded == set()
 
@@ -109,10 +116,35 @@ def test_design_batch_and_analyze_of_an_unobservable_pair_load_no_scipy(tmp_path
         "batch": ["batch", OBSERVABLE, UNOBSERVABLE, "--seed", "5", "--out-dir", "reports"],
         "analyze": ["analyze", UNOBSERVABLE],
     }[command]
-    loaded = scipy_modules_after(
-        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path
+    loaded = modules_after(
+        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path, "scipy"
     )
     assert loaded == set()
+
+
+#: argv of each command, and whether it may draw random numbers.
+NUMPY_COMMANDS = {
+    "analyze": (["analyze", UNOBSERVABLE], False),
+    "design": (["design", OBSERVABLE, "--seed", "5", "--out", "report.json"], True),
+    "verify": (["verify", OBSERVABLE, OBSERVABLE_REPORT], False),
+    "simulate-random": (["simulate", OBSERVABLE, OBSERVABLE_REPORT, "--input", "random",
+                         "--seed", "5", "--out", "trace.csv"], True),
+    "simulate-zero": (["simulate", OBSERVABLE, OBSERVABLE_REPORT, "--input", "zero",
+                       "--out", "trace.csv"], False),
+    "batch": (["batch", OBSERVABLE, UNOBSERVABLE, "--seed", "5", "--out-dir", "reports"], True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_COMMANDS))
+def test_commands_load_no_numpy_ma_and_draw_free_ones_no_numpy_random(tmp_path, command):
+    argv, draws = NUMPY_COMMANDS[command]
+    loaded = modules_after(
+        f"from piobs import cli\nassert cli.main({argv!r}) == 0", tmp_path,
+        "numpy.ma", "numpy.random",
+    )
+    assert "numpy.ma" not in loaded
+    if not draws:
+        assert loaded == set()
 
 
 def test_no_piobs_module_imports_scipy():

@@ -21,7 +21,7 @@ from piobs import (
 )
 from piobs.design import augmented_matrix
 from piobs.errors import InputError
-from piobs.sim import build_input, error_dynamics_check, fit_decay_rate
+from piobs.sim import _median, build_input, error_dynamics_check, fit_decay_rate
 
 
 class TestSteps:
@@ -134,6 +134,18 @@ class TestRunSimulation:
             run_simulation(system, observer, SimulationConfig(horizon=100))
         assert 38 <= err.value.step <= 42  # 2^k passes 1e12 near k = 40
 
+    def test_norm_rows_equal_the_abs_max_bit_for_bit(self, rng):
+        system = gen.random_detectable_system(rng, n=4, p=2, m=2)
+        observer = design_pi_observer(system)
+        trace = run_simulation(
+            system, observer, SimulationConfig(horizon=300, input_signal=RandomInput(seed=7))
+        )
+        assert trace.err_inf.tobytes() == np.abs(trace.e).max(axis=1).tobytes()
+        assert trace.v_inf.tobytes() == np.abs(trace.v).max(axis=1).tobytes()
+        # v(0) = 0: the all-zero row reduces to +0.0, as np.abs gives it
+        assert np.signbit(trace.v_inf[0]) == np.False_
+        assert trace.v_inf[0] == 0.0
+
     def test_error_sequence_is_input_independent(self, rng):
         system = gen.random_detectable_system(rng, n=4, p=2, m=2)
         observer = design_pi_observer(system)
@@ -228,6 +240,18 @@ class TestErrorDynamics:
             rate, _ = fit_decay_rate(trace, k_start=10, k_end=200)
             if np.isfinite(rate):
                 assert rate <= radius + 0.05
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 5, 6, 49, 50, 499, 500])
+    def test_equals_np_median_bit_for_bit(self, rng, size):
+        for values in (rng.standard_normal(size), np.exp(-rng.uniform(0, 30, size)),
+                       np.round(rng.uniform(0, 3, size))):
+            assert _median(values).tobytes() == np.median(values).tobytes()
+
+    def test_nan_gives_nan_as_np_median(self):
+        values = np.array([1.0, np.nan, 0.5, 2.0])
+        assert np.isnan(_median(values)) and np.isnan(np.median(values))
 
 
 def verify_radius(observer):
