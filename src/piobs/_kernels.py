@@ -2,9 +2,12 @@
 
 The stacked state z = [x; xhat; v] obeys z(k+1) = Phi z(k) + Gamma u(k) with
 Phi = [[A, 0, 0], [LC, A - LC, F], [C, -C, I]] and Gamma u = [Bu; Bu; 0]. One
-matmul writes the input term into the output rows; each step then adds Phi z(k)
-in place. The overflow guard runs once per block of rows, and its first row
-over the limit is exactly the stepwise abort step.
+matmul writes Bu into the x columns of the output rows; each block of rows then
+copies it into its xhat columns and adds Phi z(k) in place, step by step. The
+copy runs per block because a full-horizon copy between two column ranges of
+one array makes numpy buffer an (H, n) temporary. The overflow guard runs once
+per block of rows, and its first row over the limit is exactly the stepwise
+abort step.
 """
 
 import numpy as np
@@ -26,15 +29,16 @@ def simulate(A, B, C, L, F, U, x0, xhat0, v0, limit):
     Z = np.zeros((H + 1, 2 * n + p))
     Z[0] = np.concatenate([x0, xhat0, v0])
     np.matmul(U, B.T, out=Z[1:, :n])
-    Z[1:, n:2 * n] = Z[1:, :n]
     abort = -1
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, H + 1, _BLOCK):
+            block = Z[start:start + _BLOCK]
+            block[:, n:2 * n] = block[:, :n]
             prev = Z[start - 1]
-            for z in Z[start:start + _BLOCK]:
+            for z in block:
                 z += step(prev)
                 prev = z
-            over = np.abs(Z[start:start + _BLOCK]).max(axis=1) > limit
+            over = np.abs(block).max(axis=1) > limit
             if over.any():
                 abort = start + int(np.argmax(over))
                 break

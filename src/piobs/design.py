@@ -86,6 +86,8 @@ class DesignConfig:
     def __post_init__(self):
         if self.margin < 0:
             raise InputError(f"margin must be nonnegative, got {self.margin}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.target_poles is not None:
             object.__setattr__(
                 self, "target_poles",

@@ -2,7 +2,7 @@
 
 Steps the recurrences x(k+1) = A x + B u, y = C x for the plant and
 xhat(k+1) = (A - LC) xhat + L y + B u + F v, v(k+1) = v + (y - C xhat) for
-the observer, and records the estimation error e = xhat - x alongside the
+the observer, and reports the estimation error e = xhat - x alongside the
 integrator state. The input u cancels in the error recurrence, so [e; v]
 evolves under the augmented matrix regardless of the excitation. Both
 recurrences run as one stacked linear system in :mod:`piobs._kernels`;
@@ -22,6 +22,8 @@ OVERFLOW_LIMIT = 1e12
 DEFAULT_CONVERGENCE_TOL = 1e-6
 #: Rows per block of ``error_dynamics_check``; consecutive blocks share one row.
 _CHECK_BLOCK_ROWS = 257
+#: Rows per slice of ``xhat - x`` when ``run_simulation`` reduces ``err_inf``.
+_NORM_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,8 @@ class RandomInput:
     def __post_init__(self):
         if not np.isfinite(self.amplitude) or self.amplitude < 0:
             raise InputError(f"amplitude must be a nonnegative number, got {self.amplitude}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 def build_input(signal, horizon, m):
@@ -110,22 +114,34 @@ class SimulationConfig:
 class SimulationTrace:
     """Time-indexed history of one co-simulation.
 
-    ``x``, ``xhat`` are (horizon+1, n); ``y``, ``v`` are (horizon+1, p);
-    ``e = xhat - x``. ``converged_step`` is the first k with
-    max(||e||_inf, ||v||_inf) at or below the tolerance (None if never), and
-    ``tail_converged`` says whether it stays there for the rest of the run.
+    ``x``, ``xhat`` are (horizon+1, n) and ``v`` is (horizon+1, p): column
+    views of the kernel's one stacked array, so the trace holds that array,
+    the two norm rows ``err_inf`` and ``v_inf``, and the output matrix ``C``.
+    ``e = xhat - x`` and ``y = x C^T`` are computed on each access.
+    ``converged_step`` is the first k with max(||e||_inf, ||v||_inf) at or
+    below the tolerance (None if never), and ``tail_converged`` says whether
+    it stays there for the rest of the run.
     """
 
     x: np.ndarray
     xhat: np.ndarray
-    y: np.ndarray
     v: np.ndarray
-    e: np.ndarray
+    C: np.ndarray
     err_inf: np.ndarray
     v_inf: np.ndarray
     convergence_tol: float
     converged_step: object
     tail_converged: object
+
+    @property
+    def e(self):
+        """Estimation error xhat - x, (horizon+1, n); a new array each access."""
+        return self.xhat - self.x
+
+    @property
+    def y(self):
+        """Plant output x C^T, (horizon+1, p); a new array each access."""
+        return self.x @ self.C.T
 
     @property
     def horizon(self):
@@ -216,8 +232,10 @@ def run_simulation(system, observer, config=None):
         )
         raise SimulationDivergenceError(step=abort, norm=worst, limit=OVERFLOW_LIMIT)
 
-    E = Xh - X
-    err_inf = _row_max_abs(E)
+    err_inf = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _NORM_BLOCK_ROWS):
+        stop = start + _NORM_BLOCK_ROWS
+        err_inf[start:stop] = _row_max_abs(Xh[start:stop] - X[start:stop])
     v_inf = _row_max_abs(V)
     joint = np.maximum(err_inf, v_inf)
     below = joint <= config.convergence_tol
@@ -226,9 +244,8 @@ def run_simulation(system, observer, config=None):
     return SimulationTrace(
         x=X,
         xhat=Xh,
-        y=X @ system.C.T,
         v=V,
-        e=E,
+        C=system.C,
         err_inf=err_inf,
         v_inf=v_inf,
         convergence_tol=config.convergence_tol,
@@ -253,7 +270,8 @@ def error_dynamics_check(trace, observer):
     worst = []
     for start in range(0, rows - 1, _CHECK_BLOCK_ROWS - 1):
         stop = start + _CHECK_BLOCK_ROWS
-        ev = np.hstack([trace.e[start:stop], trace.v[start:stop]])
+        ev = np.hstack([trace.xhat[start:stop] - trace.x[start:stop],
+                        trace.v[start:stop]])
         residual = ev[1:] - ev[:-1] @ aug.T
         worst.append(np.abs(residual).max())
     return float(np.max(worst))

@@ -103,6 +103,10 @@ class TestDesign:
         )
         assert cli.main(["design", str(path), "--pole", "0.1"]) == 3
 
+    def test_negative_seed_exits_3(self, worked_file, capsys):
+        assert cli.main(["design", worked_file, "--seed", "-1"]) == 3
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_round_trip_passes(self, tmp_path, worked_file, capsys):
@@ -223,6 +227,12 @@ class TestSimulate:
         report = design_worked(tmp_path, worked_file)
         assert cli.main(["simulate", undetectable_file, report]) == 3
 
+    def test_negative_random_input_seed_exits_3(self, tmp_path, worked_file, capsys):
+        report = design_worked(tmp_path, worked_file)
+        assert cli.main(["simulate", worked_file, report, "--input", "random",
+                         "--seed", "-1"]) == 3
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
 
 class TestBatch:
     def test_mixed_batch_reports_worst_status(self, tmp_path, worked_file,
@@ -236,3 +246,10 @@ class TestBatch:
         assert "[0]" in stdout and "[2]" in stdout
         assert (out_dir / "worked.report.json").exists()
         assert (out_dir / "undetectable.report.json").exists()
+
+    def test_negative_seed_exits_3(self, tmp_path, worked_file, capsys):
+        out_dir = tmp_path / "reports"
+        assert cli.main(["batch", worked_file, "--seed", "-1",
+                         "--out-dir", str(out_dir)]) == 3
+        assert "seed must be nonnegative" in capsys.readouterr().out
+        assert not (out_dir / "worked.report.json").exists()

@@ -146,6 +146,54 @@ class TestRunSimulation:
         assert np.signbit(trace.v_inf[0]) == np.False_
         assert trace.v_inf[0] == 0.0
 
+    def test_derived_rows_equal_their_formulas_bit_for_bit(self, rng):
+        system = gen.random_detectable_system(rng, n=4, p=2, m=2)
+        observer = design_pi_observer(system)
+        trace = run_simulation(
+            system, observer, SimulationConfig(horizon=300, input_signal=RandomInput(seed=7))
+        )
+        assert trace.e.tobytes() == (trace.xhat - trace.x).tobytes()
+        assert trace.y.tobytes() == (trace.x @ system.C.T).tobytes()
+        assert trace.y.shape == (301, system.p)
+
+    @pytest.mark.parametrize("horizon", [1, 255, 256, 257, 513])
+    def test_blocked_err_inf_equals_the_whole_array_formula(self, rng, horizon):
+        system = gen.random_detectable_system(rng, n=3, p=1, m=1)
+        observer = design_pi_observer(system)
+        trace = run_simulation(
+            system, observer,
+            SimulationConfig(horizon=horizon, input_signal=RandomInput(seed=5)),
+        )
+        assert trace.err_inf.shape == (horizon + 1,)
+        whole = np.abs(trace.xhat - trace.x).max(axis=1)
+        assert trace.err_inf.tobytes() == whole.tobytes()
+
+    def test_state_rows_are_views_of_one_array(self, worked_system, worked_observer):
+        trace = run_simulation(worked_system, worked_observer, SimulationConfig(horizon=40))
+        base = trace.x.base
+        assert base is not None
+        assert trace.xhat.base is base and trace.v.base is base
+
+    def test_trace_memory_is_the_stacked_array_and_two_norm_rows(self, rng):
+        n, p, horizon = 24, 4, 5000
+        system = gen.random_detectable_system(rng, n=n, p=p, m=2, unstable_prob=0.0)
+        observer = design_pi_observer(system)
+        config = SimulationConfig(horizon=horizon, input_signal=RandomInput(seed=1))
+        stacked = (horizon + 1) * (2 * n + p) * 8
+        norm_rows = 2 * (horizon + 1) * 8
+        tracemalloc.start()
+        try:
+            trace = run_simulation(system, observer, config)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.converged_step is not None
+        assert retained <= stacked + norm_rows + 16 * 1024
+        # One full-horizon (H, n) temporary, such as a whole xhat - x or a
+        # whole-horizon copy of the input term between column ranges, would
+        # exceed this bound.
+        assert peak <= 1.2 * stacked
+
     def test_error_sequence_is_input_independent(self, rng):
         system = gen.random_detectable_system(rng, n=4, p=2, m=2)
         observer = design_pi_observer(system)
@@ -184,7 +232,7 @@ class TestErrorDynamics:
         )
         xhat = trace.xhat.copy()
         xhat[10] += 1e-3
-        corrupted = replace(trace, xhat=xhat, e=xhat - trace.x)
+        corrupted = replace(trace, xhat=xhat)
         residual = error_dynamics_check(corrupted, worked_observer)
         assert residual == pytest.approx(1e-3, rel=0.6)
 
@@ -208,7 +256,7 @@ class TestErrorDynamics:
         )
         xhat = trace.xhat.copy()
         xhat[step] += 1e-3
-        corrupted = replace(trace, xhat=xhat, e=xhat - trace.x)
+        corrupted = replace(trace, xhat=xhat)
         residual = error_dynamics_check(corrupted, worked_observer)
         assert residual == pytest.approx(1e-3, rel=0.6)
 
