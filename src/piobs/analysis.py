@@ -137,13 +137,13 @@ def pbh_rank_at(A, C, z, tol_rank=linalg.DEFAULT_TOL_RANK):
     return linalg.numerical_rank(stack, tol_rank)
 
 
-def _cluster_representatives(eig, tol=CLUSTER_TOL):
-    """Map each eigenvalue to a representative, merging values within ``tol``."""
+def _cluster_representatives(eig):
+    """Map each eigenvalue to a representative, merging values within ``CLUSTER_TOL``."""
     reps = []
     assignment = []
     for lam in eig:
         for idx, rep in enumerate(reps):
-            if abs(lam - rep) <= tol:
+            if abs(lam - rep) <= CLUSTER_TOL:
                 assignment.append(idx)
                 break
         else:

@@ -270,12 +270,16 @@ def cmd_verify(args):
 
 def cmd_batch(args):
     out_dir = pathlib.Path(args.out_dir) if args.out_dir else None
+    reports = [str(out_dir / f"{pathlib.Path(path).stem}.report.json") if out_dir else None
+               for path in args.systems]
     if out_dir:
+        for i, report_path in enumerate(reports):
+            if report_path in reports[:i]:
+                first = args.systems[reports.index(report_path)]
+                raise InputError(f"{first} and {args.systems[i]} would both write {report_path}")
         out_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
-    for path in args.systems:
-        stem = pathlib.Path(path).stem
-        report_path = str(out_dir / f"{stem}.report.json") if out_dir else None
+    for path, report_path in zip(args.systems, reports):
         sub_args = argparse.Namespace(**vars(args), system=path, out=report_path)
         try:
             status = cmd_design(sub_args)

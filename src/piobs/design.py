@@ -41,6 +41,8 @@ SIMILARITY_TOL = 1e-8
 #: inherited pole split tolerates. Exact decompositions leave rounding; a
 #: stack rank that misjudged q leaves the blocks coupled at 1e-2 and more.
 SPLIT_COUPLING_TOL = 1e-6
+#: Random draws of the Sylvester placement per search.
+SYLVESTER_ATTEMPTS = 8
 
 
 def default_target_poles(count):
@@ -58,6 +60,11 @@ def default_target_poles(count):
         raise InputError(f"need at least one target pole, got count={count}")
     angles = np.pi * (2 * np.arange(count) + 1 - count) / (2 * count)
     return tuple(complex(z) for z in 0.3 * np.exp(1j * angles))
+
+
+def _check_margin(margin):
+    if not 0.0 <= margin < 1.0:
+        raise InputError(f"margin must be in [0, 1), got {margin}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,7 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise InputError(f"margin must be nonnegative, got {self.margin}")
+        _check_margin(self.margin)
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.target_poles is not None:
@@ -213,10 +219,10 @@ def _placement_error(eigs, targets, scale, p=1):
     return err
 
 
-def _sylvester_candidates(A, C, targets, rng, attempts=8):
+def _sylvester_candidates(A, C, targets, rng):
     """Gain candidates from the Sylvester-equation placement method.
 
-    Each attempt draws a random ``G`` (p x n) and solves
+    Each of ``SYLVESTER_ATTEMPTS`` attempts draws a random ``G`` (p x n) and solves
     ``A^T X - X D = -C^T G = R`` for X, with ``D = _real_block_diag(targets, p)``
     (Bhattacharyya & de Souza 1982); then ``F = G X^-1`` places the targets
     on ``A^T + C^T F``. D is upper block-bidiagonal, so X is solved block by
@@ -236,7 +242,7 @@ def _sylvester_candidates(A, C, targets, rng, attempts=8):
     eigA = linalg.eigenvalues(A)
     scale = max(1.0, max(abs(z) for z in targets), float(np.max(np.abs(eigA))))
     touches = np.min(np.abs(np.asarray(targets)[:, None] - eigA[None, :])) <= 1e-8 * scale
-    for _ in range(attempts):
+    for _ in range(SYLVESTER_ATTEMPTS):
         K0 = rng.standard_normal((n, p)) if touches else None
         G = rng.standard_normal((p, n))
         R = -C.T @ G
@@ -354,21 +360,22 @@ def _riccati_gain(A, C):
 
 
 def _lifted_plan(A, C, dec, K, targets, inherited, stage):
-    """The block gain K lifted to (A, C) by T_k, and why it fails (None when it holds).
+    """The block gain K lifted to (A, C) by T_k; K itself, unchecked, when q = n.
 
     Raises :class:`NumericalError` when A + KC still couples the observable
-    block to the unobservable one: the stack misjudged q, so the inherited
-    poles are not poles of A + KC, and no gain mends that. Otherwise one
-    eigenvalue call serves both checks of the plan: A + KC must be Schur
-    stable and its eigenvalues must be ``targets`` within ``PLACEMENT_TOL``,
-    since ill-conditioned placed poles can move in the lift. The coupling
-    check makes the ``inherited`` poles, eig(A22), poles of A + KC, but a
-    defective one scatters by (eps ||A||)^(1/m), differently in each
-    eigenvalue call. So each one farther than sqrt(PLACEMENT_TOL) from the
-    targets sets its nearest eigenvalue aside; the rest join the targets,
-    poles linked by gaps below that counting as one at their mean.
+    block to the unobservable one (the stack misjudged q, so the inherited
+    poles are not poles of A + KC), is not Schur stable, or misses
+    ``targets`` by more than ``PLACEMENT_TOL`` (ill-conditioned placed poles
+    can move in the lift). The coupling check makes the ``inherited`` poles,
+    eig(A22), poles of A + KC, but a defective one scatters by
+    (eps ||A||)^(1/m), differently in each eigenvalue call. So each one
+    farther than sqrt(PLACEMENT_TOL) from the targets sets its nearest
+    eigenvalue aside; the rest join the targets, poles linked by gaps below
+    that counting as one at their mean.
     """
     n, (q, p) = A.shape[0], K.shape
+    if q == n:
+        return K
     K = dec.T_k @ np.vstack([K, np.zeros((n - q, p))])
     closed = A + K @ C
     coupling = float(np.max(np.abs(dec.T_k[:, :q].T @ closed @ dec.T_k[:, q:])))
@@ -381,7 +388,7 @@ def _lifted_plan(A, C, dec, K, targets, inherited, stage):
     eigs = linalg.eigenvalues(closed)
     radius = float(np.max(np.abs(eigs)))
     if not radius < 1.0:
-        return K, f"{stage} did not stabilize A + KC: spectral radius {radius:.9g}"
+        raise NumericalError(f"{stage} did not stabilize A + KC: spectral radius {radius:.9g}")
     scale = max(1.0, max(abs(z) for z in targets + inherited))
     near = np.sqrt(PLACEMENT_TOL) * scale
     inherited = np.asarray(inherited, dtype=complex)
@@ -396,9 +403,10 @@ def _lifted_plan(A, C, dec, K, targets, inherited, stage):
     # The power stays m (p = 1): a merged unobserved Jordan block scatters by its size.
     err = _placement_error(eigs[judged], linked @ poles / linked.sum(axis=1), scale)
     if err > PLACEMENT_TOL:
-        return K, (f"{stage} missed the assigned and inherited poles on A + KC: relative "
-                   f"eigenvalue error at least {err:.3e} exceeds {PLACEMENT_TOL:.0e}")
-    return K, None
+        raise NumericalError(
+            f"{stage} missed the assigned and inherited poles on A + KC: relative "
+            f"eigenvalue error at least {err:.3e} exceeds {PLACEMENT_TOL:.0e}")
+    return K
 
 
 @dataclass(frozen=True)
@@ -414,19 +422,15 @@ class GainPlan:
 def stabilization_plan(A, C, config=None):
     """Gain K making A + KC Schur stable, with assigned/inherited pole split.
 
-    One PBH classification, one observability decomposition and one
-    placement search make the plan: PBH decides existence, the decomposition
-    gives q and the basis, and the q targets are placed on its observable
-    block (A11, C1), the whole pair when q = n; default targets that cannot
-    be placed give way to :func:`_riccati_gain` and its achieved poles. When
-    q < n, K is lifted by T_k and the unobservable spectrum is inherited.
-    Only q = n is checked against PBH (placement would move a mode PBH calls
-    unobservable). A q < n plan is checked on the lifted A + KC by
-    :func:`_lifted_plan`: still coupled blocks raise :class:`NumericalError`;
-    when A + KC is not Schur stable or misses its poles, default targets
-    give way to the Riccati gain and explicit ones raise
-    :class:`NumericalError`. A q = n plan is judged by the gate of
-    :func:`design_pi_observer`.
+    PBH decides existence, the observability decomposition gives q and the
+    basis, the q targets are placed on its observable block (A11, C1), and
+    :func:`_lifted_plan` lifts K by T_k and checks it when q < n (the
+    unobservable spectrum is inherited). Only q = n is checked against PBH,
+    since placement would move a mode PBH calls unobservable; a q = n plan
+    is judged by the gate of :func:`design_pi_observer`. One rule covers
+    every failure of placement or lift: explicit targets raise
+    :class:`NumericalError`, default ones give way to :func:`_riccati_gain`
+    and the poles it achieves, lifted and checked the same way.
     """
     config = config or DesignConfig()
     A, C = analysis.check_pair(A, C)
@@ -440,39 +444,18 @@ def stabilization_plan(A, C, config=None):
     if q == n:
         # Placement would move a mode PBH calls unobservable: refuse instead.
         analysis.observability_verdict(verdict.classifications, q)
-    explicit = config.target_poles is not None
     inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
     try:
         K = _placement_search(dec.A11, dec.C1, targets, config.seed)
+        K = _lifted_plan(A, C, dec, K, targets, inherited, "pole placement")
     except NumericalError:
-        if explicit:
+        if config.target_poles is not None:
             raise
-        K = None
-    if K is not None and q < n:
-        K, miss = _lifted_plan(A, C, dec, K, targets, inherited, "pole placement")
-        if miss:
-            if explicit:
-                raise NumericalError(miss)
-            K = None
-    if K is None:
         # Default poles are no promise: report what the Riccati gain achieves.
         K = _riccati_gain(dec.A11, dec.C1)
         targets = tuple(complex(z) for z in linalg.eigenvalues(dec.A11 + K @ dec.C1))
-        if q < n:
-            K, miss = _lifted_plan(A, C, dec, K, targets, inherited, "the Riccati gain")
-            if miss:
-                raise NumericalError(miss)
+        K = _lifted_plan(A, C, dec, K, targets, inherited, "the Riccati gain")
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)
-
-
-def place_stabilizing_gain(A, C, config=None):
-    """Output-injection gain K such that A + KC is Schur stable.
-
-    Raises :class:`NotDetectableError` (with the offending eigenvalues) when
-    no such gain exists, and :class:`NumericalError` when the plan cannot be
-    made or fails its checks (see :func:`stabilization_plan`).
-    """
-    return stabilization_plan(A, C, config).K
 
 
 def coupling_matrix(T, phi, lambda_block=None):
@@ -597,10 +580,11 @@ def verify_design(observer, margin=None):
     split (pairing tolerance: the config's ``tol_eig``), and evaluates the
     similarity and coupling identities with the explicit transform
     M = [[I, X], [0, I]] (whose inverse is [[I, -X], [0, I]]). ``margin``
-    defaults to the config's.
+    defaults to the config's; one outside [0, 1) raises :class:`InputError`.
     """
     if margin is None:
         margin = observer.config.margin
+    _check_margin(margin)
     system = observer.system
     n, p = system.n, system.p
     aug = observer.augmented()

@@ -28,6 +28,8 @@ DEFAULT_TOL_EIG = 1e-8
 DEFAULT_TOL_COND = 1e-12
 #: Tolerance for conjugate-closure checks on spectra and pole sets.
 CONJUGATE_TOL = 1e-9
+#: Relative pivot threshold of the basis completion (see :func:`_pivot_columns`).
+PIVOT_RELAX = 0.25
 
 
 def as_matrix(M, name="matrix"):
@@ -110,23 +112,23 @@ def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
     return int(np.count_nonzero(sv > tol_rank * sv[0]))
 
 
-def group_conjugate_roots(values, tol=CONJUGATE_TOL):
+def group_conjugate_roots(values):
     """Split a conjugate-closed multiset into real roots and one root per pair.
 
     Returns ``(reals, pairs)`` where ``pairs`` holds the positive-imaginary
     representative of each conjugate pair. Raises :class:`InputError` when the
-    multiset is not closed under conjugation within ``tol``.
+    multiset is not closed under conjugation within ``CONJUGATE_TOL``.
     """
     vals = np.asarray(values, dtype=complex).reshape(-1)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    reals = [v.real for v in vals if abs(v.imag) <= tol * scale]
-    upper = sorted((v for v in vals if v.imag > tol * scale), key=lambda z: (z.real, z.imag))
-    lower = sorted((v for v in vals if v.imag < -tol * scale), key=lambda z: (z.real, -z.imag))
+    tol = CONJUGATE_TOL * max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
+    reals = [v.real for v in vals if abs(v.imag) <= tol]
+    upper = sorted((v for v in vals if v.imag > tol), key=lambda z: (z.real, z.imag))
+    lower = sorted((v for v in vals if v.imag < -tol), key=lambda z: (z.real, -z.imag))
     if len(upper) != len(lower):
         raise InputError("root multiset is not closed under complex conjugation")
     pairs = []
     for u, l in zip(upper, lower):
-        if abs(u - np.conj(l)) > 10 * tol * scale:
+        if abs(u - np.conj(l)) > 10 * tol:
             raise InputError(
                 f"root multiset is not conjugate-closed: {u} has no conjugate partner"
             )
@@ -134,20 +136,20 @@ def group_conjugate_roots(values, tol=CONJUGATE_TOL):
     return reals, pairs
 
 
-def is_conjugate_closed(values, tol=CONJUGATE_TOL):
-    """True when the multiset equals its elementwise conjugate within ``tol``."""
+def is_conjugate_closed(values):
+    """True when the multiset equals its elementwise conjugate within ``CONJUGATE_TOL``."""
     try:
-        group_conjugate_roots(values, tol=tol)
+        group_conjugate_roots(values)
     except InputError:
         return False
     return True
 
 
-def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
+def solve(M, rhs):
     """Solve ``M @ Y = rhs`` for square nonsingular ``M``.
 
     Refuses matrices whose reciprocal condition estimate falls below
-    ``tol_cond``. One step of iterative refinement keeps the residual near
+    ``DEFAULT_TOL_COND``. One step of iterative refinement keeps the residual near
     machine precision even for moderately conditioned systems.
     """
     M = as_square(M, "solve: matrix")
@@ -157,7 +159,7 @@ def solve(M, rhs, tol_cond=DEFAULT_TOL_COND):
             f"solve: right-hand side has {rhs_arr.shape[0]} rows, expected {M.shape[0]}"
         )
     rcond = reciprocal_condition(M)
-    if not np.isfinite(rcond) or rcond < tol_cond:
+    if not np.isfinite(rcond) or rcond < DEFAULT_TOL_COND:
         raise SingularMatrixError("matrix is singular or near-singular", rcond=rcond)
     # numpy exposes no LU factors, so the refinement step factors M again;
     # that costs little at the sizes piobs solves.
@@ -201,11 +203,11 @@ def complete_row_basis(C, tol_rank=DEFAULT_TOL_RANK):
     return T
 
 
-def _pivot_columns(C, tol_rank, relax=0.25):
+def _pivot_columns(C, tol_rank):
     """Pivot column indices of C via elimination with threshold column pivoting.
 
-    ``relax`` is the fraction of the best available pivot magnitude a more
-    leftward column may have and still be preferred.
+    ``PIVOT_RELAX`` is the fraction of the best available pivot magnitude a
+    more leftward column may have and still be preferred.
     """
     R = C.astype(float, copy=True)
     p, n = R.shape
@@ -217,7 +219,7 @@ def _pivot_columns(C, tol_rank, relax=0.25):
         best = float(mags.max())
         if best <= negligible:
             break
-        j = remaining[int(np.argmax(mags >= max(relax * best, negligible)))]
+        j = remaining[int(np.argmax(mags >= max(PIVOT_RELAX * best, negligible)))]
         i = r + int(np.argmax(np.abs(R[r:, j])))
         R[[r, i]] = R[[i, r]]
         R[r + 1:] -= np.outer(R[r + 1:, j] / R[r, j], R[r])

@@ -5,7 +5,6 @@ written with 17 significant digits, which round-trips IEEE doubles exactly
 and makes reports byte-identical across runs with the same inputs and seed.
 """
 
-import io
 import json
 
 import numpy as np
@@ -148,10 +147,6 @@ def system_to_doc(system):
     doc["B"] = matrix_to_doc(system.B)
     doc["C"] = matrix_to_doc(system.C)
     return doc
-
-
-def save_system(system, path):
-    write_doc(system_to_doc(system), path)
 
 
 def _load_json(path):
@@ -411,15 +406,13 @@ def _check_finite(columns):
     raise ValueError(f"cannot serialize non-finite number {row[~np.isfinite(row)][0]}")
 
 
-def trace_csv_text(trace, comments=(), out=None):
-    """Render a simulation trace as CSV with leading comment lines.
+def trace_csv_text(trace, comments, out):
+    """Stream a trace as CSV, after leading comment lines, to the text stream ``out``.
 
-    With a text stream ``out``, the CSV is streamed to it: each block of 256
-    rows is formatted from slices of the trace arrays and written at once,
-    so neither the whole text nor the stacked trace is ever held, and None is
-    returned. Without ``out`` the text is returned. Every entry is checked
-    for finiteness before the first byte is written, so a non-finite trace
-    raises ValueError and writes nothing.
+    Each block of 256 rows is formatted from slices of the trace arrays and
+    written at once, so neither the whole text nor the stacked trace is ever
+    held. Every entry is checked for finiteness before the first byte is
+    written, so a non-finite trace raises ValueError and writes nothing.
     """
     columns = (trace.x, trace.xhat, trace.v, trace.err_inf, trace.v_inf)
     _check_finite(columns)
@@ -433,17 +426,14 @@ def trace_csv_text(trace, comments=(), out=None):
         + ["err_inf", "v_inf"]
     )
     row = "%d," + ",".join([_FLOAT_FORMAT] * (2 * n + p + 2)) + "\n"
-    sink = io.StringIO() if out is None else out
-    sink.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n")
+    out.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n")
     for start in range(0, trace.x.shape[0], _TRACE_BLOCK_ROWS):
         stop = start + _TRACE_BLOCK_ROWS
         block = np.column_stack([c[start:stop] for c in columns]).tolist()
-        sink.write("".join([row % (k, *r) for k, r in enumerate(block, start)]))
-    if out is None:
-        return sink.getvalue()
+        out.write("".join([row % (k, *r) for k, r in enumerate(block, start)]))
 
 
-def write_trace_csv(trace, path, comments=()):
+def write_trace_csv(trace, path, comments):
     """Stream a trace to ``path`` as CSV, 256 rows at a time (see :func:`trace_csv_text`)."""
     with open(path, "w", encoding="utf-8") as fh:
         trace_csv_text(trace, comments, fh)

@@ -24,6 +24,8 @@ DEFAULT_CONVERGENCE_TOL = 1e-6
 _CHECK_BLOCK_ROWS = 257
 #: Rows per slice of ``xhat - x`` when ``run_simulation`` reduces ``err_inf``.
 _NORM_BLOCK_ROWS = 256
+#: First step of the ``fit_decay_rate`` window; the window ends at the horizon.
+_FIT_START = 10
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,9 @@ class SimulationTrace:
     """Time-indexed history of one co-simulation.
 
     ``x``, ``xhat`` are (horizon+1, n) and ``v`` is (horizon+1, p): column
-    views of the kernel's one stacked array, so the trace holds that array,
-    the two norm rows ``err_inf`` and ``v_inf``, and the output matrix ``C``.
-    ``e = xhat - x`` and ``y = x C^T`` are computed on each access.
+    views of the kernel's one stacked array, so the trace holds that array
+    and the two norm rows ``err_inf`` and ``v_inf``. ``e = xhat - x`` is
+    computed on each access.
     ``converged_step`` is the first k with max(||e||_inf, ||v||_inf) at or
     below the tolerance (None if never), and ``tail_converged`` says whether
     it stays there for the rest of the run.
@@ -126,10 +128,8 @@ class SimulationTrace:
     x: np.ndarray
     xhat: np.ndarray
     v: np.ndarray
-    C: np.ndarray
     err_inf: np.ndarray
     v_inf: np.ndarray
-    convergence_tol: float
     converged_step: object
     tail_converged: object
 
@@ -137,19 +137,6 @@ class SimulationTrace:
     def e(self):
         """Estimation error xhat - x, (horizon+1, n); a new array each access."""
         return self.xhat - self.x
-
-    @property
-    def y(self):
-        """Plant output x C^T, (horizon+1, p); a new array each access."""
-        return self.x @ self.C.T
-
-    @property
-    def horizon(self):
-        return self.x.shape[0] - 1
-
-    @property
-    def steps(self):
-        return np.arange(self.x.shape[0])
 
 
 def _check_observer_dims(system, observer):
@@ -245,10 +232,8 @@ def run_simulation(system, observer, config=None):
         x=X,
         xhat=Xh,
         v=V,
-        C=system.C,
         err_inf=err_inf,
         v_inf=v_inf,
-        convergence_tol=config.convergence_tol,
         converged_step=converged_step,
         tail_converged=tail,
     )
@@ -277,32 +262,27 @@ def error_dynamics_check(trace, observer):
     return float(np.max(worst))
 
 
-def fit_decay_rate(trace, k_start=10, k_end=None, floor=None):
-    """Least-squares geometric decay rate of ||[e; v]||_inf over [k_start, k_end].
+def fit_decay_rate(trace):
+    """Least-squares geometric decay rate of ||[e; v]||_inf from step 10 to the horizon.
 
     Returns ``(rate, scale)`` fitting norm(k) ~ scale * rate**k. The fit stops
-    at the first sample at or below ``floor``: once the error reaches the
-    rounding floor it stops following the observer dynamics. The default
-    floor is the larger of an eps bound scaled to the plant state and ten
-    times the tail median (the noise plateau); the median is the mean of the
-    tail's two middle entries after one ``np.partition`` (see
-    :func:`_median`), equal to ``np.median`` bit for bit. Returns (nan, nan)
-    when fewer than two usable points remain.
+    at the first sample at or below the floor: once the error reaches the
+    rounding floor it stops following the observer dynamics. The floor is
+    the larger of an eps bound scaled to the plant state and ten times the
+    tail median (the noise plateau left by large observer gains); the median
+    is the mean of the tail's two middle entries after one ``np.partition``
+    (see :func:`_median`), equal to ``np.median`` bit for bit. Returns
+    (nan, nan) when fewer than two usable points remain.
     """
     norms = np.maximum(trace.err_inf, trace.v_inf)
-    k_end = trace.horizon if k_end is None else min(k_end, trace.horizon)
-    ks = np.arange(k_start, k_end + 1)
-    vals = norms[k_start:k_end + 1]
+    ks = np.arange(_FIT_START, norms.size)
+    vals = norms[_FIT_START:]
     if vals.size == 0:
         return float("nan"), float("nan")
-    if floor is None:
-        # Two floor estimates: eps relative to the plant scale, and ten times
-        # the tail median, which catches the noise plateau left by large
-        # observer gains.
-        x_max = max(1.0, float(trace.x.max()), -float(trace.x.min()))
-        eps_floor = 100.0 * np.finfo(float).eps * x_max
-        tail = vals[-max(5, vals.size // 10):]
-        floor = max(eps_floor, 10.0 * float(_median(tail)))
+    x_max = max(1.0, float(trace.x.max()), -float(trace.x.min()))
+    eps_floor = 100.0 * np.finfo(float).eps * x_max
+    tail = vals[-max(5, vals.size // 10):]
+    floor = max(eps_floor, 10.0 * float(_median(tail)))
     below = vals <= floor
     cut = int(np.argmax(below)) if below.any() else vals.size
     if cut < 2:

@@ -33,6 +33,10 @@ def design_worked(tmp_path, worked_file, *extra):
     return out
 
 
+#: Stability margins outside [0, 1): negative, non-finite, and at or above 1.
+BAD_MARGINS = ["-0.5", "nan", "inf", "1", "1.5"]
+
+
 class TestAnalyze:
     def test_reports_verdicts(self, worked_file, capsys):
         assert cli.main(["analyze", worked_file]) == 0
@@ -107,6 +111,14 @@ class TestDesign:
         assert cli.main(["design", worked_file, "--seed", "-1"]) == 3
         assert "seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margin", BAD_MARGINS)
+    def test_margin_outside_unit_interval_exits_3(self, tmp_path, worked_file, capsys, margin):
+        # default phi and poles: no margin check of the config would catch it later
+        out = tmp_path / "report.json"
+        assert cli.main(["design", worked_file, f"--margin={margin}", "--out", str(out)]) == 3
+        assert "margin must be in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_round_trip_passes(self, tmp_path, worked_file, capsys):
@@ -144,6 +156,24 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["spectra"]["ok"] is False
         assert doc["failed_checks"] == ["spectrum-split"]
+
+    @pytest.mark.parametrize("margin", BAD_MARGINS)
+    def test_margin_outside_unit_interval_exits_3(self, tmp_path, worked_file, capsys, margin):
+        # A consistent report of an unstable observer: K = 0.7 puts A + KC at
+        # 1.2, and L = X - K = 0, F = -(A - LC) X + X (-C X + I) = -0.14 keep
+        # both identities, so only the margin decides.
+        out = design_worked(tmp_path, worked_file)
+        doc = json.loads(open(out).read())
+        doc["intermediates"]["K"] = [[0.7]]
+        doc["gains"]["L"], doc["gains"]["F"] = [[0.0]], [[-0.14]]
+        with open(out, "w") as fh:
+            fh.write(reportio.dumps_doc(doc))
+        assert cli.main(["verify", worked_file, out]) == 4
+        assert "FAIL augmented-schur-stability: spectral radius 1.2" in capsys.readouterr().out
+        assert cli.main(["verify", worked_file, out, f"--margin={margin}"]) == 3
+        captured = capsys.readouterr()
+        assert "margin must be in [0, 1)" in captured.err
+        assert "PASS" not in captured.out
 
     def test_infeasible_report_confirmed(self, tmp_path, undetectable_file, capsys):
         out = str(tmp_path / "rep.json")
@@ -246,6 +276,19 @@ class TestBatch:
         assert "[0]" in stdout and "[2]" in stdout
         assert (out_dir / "worked.report.json").exists()
         assert (out_dir / "undetectable.report.json").exists()
+
+    def test_two_systems_with_one_report_name_exit_3_before_any_design(
+            self, tmp_path, worked_file, undetectable_file, capsys):
+        for name, source in (("a", worked_file), ("b", undetectable_file)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "sys.json").write_text(open(source).read())
+        first, second = str(tmp_path / "a" / "sys.json"), str(tmp_path / "b" / "sys.json")
+        out_dir = tmp_path / "reports"
+        assert cli.main(["batch", first, second, "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert f"{first} and {second} would both write" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_negative_seed_exits_3(self, tmp_path, worked_file, capsys):
         out_dir = tmp_path / "reports"

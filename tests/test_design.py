@@ -18,7 +18,6 @@ from piobs import (
     linalg,
     place_poles,
     reportio,
-    place_stabilizing_gain,
     verify_design,
 )
 from piobs.design import (
@@ -216,12 +215,12 @@ class TestStabilizingGain:
     def test_observable_pair_places_all_poles(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         cfg = DesignConfig(target_poles=(0.1, 0.2))
-        K = place_stabilizing_gain(A, [[1.0, 0.0]], cfg)
+        K = stabilization_plan(A, [[1.0, 0.0]], cfg).K
         assert K == pytest.approx(np.array([[0.3], [-0.02]]), abs=1e-12)
 
     def test_undetectable_pair_is_infeasible_with_witness(self):
         with pytest.raises(NotDetectableError) as err:
-            place_stabilizing_gain(np.diag([0.5, 2.0]), [[1.0, 0.0]])
+            stabilization_plan(np.diag([0.5, 2.0]), [[1.0, 0.0]]).K
         assert err.value.witnesses == pytest.approx([2.0])
 
     def test_detectable_unobservable_pair_keeps_hidden_spectrum(self):
@@ -237,7 +236,7 @@ class TestStabilizingGain:
     def test_schur_stability_postcondition_on_random_systems(self, rng):
         for _ in range(15):
             system = gen.random_detectable_system(rng)
-            K = place_stabilizing_gain(system.A, system.C)
+            K = stabilization_plan(system.A, system.C).K
             assert analysis.is_schur_stable(system.A + K @ system.C, margin=1e-6)
 
 
@@ -356,13 +355,13 @@ class TestDesignPipeline:
         explicit = DesignConfig(target_poles=default_target_poles(2))
         refusal = "pole placement missed the assigned and inherited poles on A \\+ KC"
         with pytest.raises(NumericalError, match=refusal):
-            place_stabilizing_gain(A, C, explicit)
+            stabilization_plan(A, C, explicit).K
         system = SystemRealization(A=A, B=np.ones((3, 1)), C=C)
         with pytest.raises(NumericalError, match=refusal):
             design_pi_observer(system, explicit)
         deadbeat = DesignConfig(target_poles=(0.0, 0.0))
         with pytest.raises(NumericalError, match="did not stabilize A \\+ KC"):
-            place_stabilizing_gain(A, C, deadbeat)
+            stabilization_plan(A, C, deadbeat).K
         plan = stabilization_plan(A, C)
         closed = linalg.eigenvalues(A + plan.K @ C)
         assert linalg.pairing_distance(closed, plan.assigned_poles + plan.inherited_poles) <= PLACEMENT_TOL
@@ -413,7 +412,7 @@ class TestDesignPipeline:
         assert (system.n, system.p) == (24, 1)
         assert analysis.kalman_decompose(system.A, system.C).q == 22
         with pytest.raises(NumericalError, match="decomposition is inconsistent"):
-            place_stabilizing_gain(system.A, system.C)
+            stabilization_plan(system.A, system.C).K
         with pytest.raises(NumericalError, match="decomposition is inconsistent"):
             design_pi_observer(system)
 

@@ -55,7 +55,7 @@ class TestSystemFiles:
     def test_round_trip(self, tmp_path, rng):
         system = gen.random_detectable_system(rng, n=4, p=2, m=3)
         path = tmp_path / "sys.json"
-        reportio.save_system(system, path)
+        reportio.write_doc(reportio.system_to_doc(system), path)
         back = reportio.load_system(path)
         assert np.array_equal(back.A, system.A)
         assert np.array_equal(back.B, system.B)
@@ -208,15 +208,17 @@ class TestTraceCsv:
         golden = DATA / f"{stem}.trace-seed5.csv"
         assert capsysbinary.readouterr().out == golden.read_bytes()
 
-    def test_stream_and_text_agree(self, worked_system, worked_observer):
+    def test_stream_and_text_agree(self, tmp_path, worked_system, worked_observer):
         trace = run_simulation(
             worked_system, worked_observer,
             SimulationConfig(horizon=600, input_signal=RandomInput(seed=1)),
         )
         out = io.StringIO()
-        assert reportio.trace_csv_text(trace, ["c"], out=out) is None
-        text = reportio.trace_csv_text(trace, ["c"])
-        assert out.getvalue() == text
+        assert reportio.trace_csv_text(trace, ["c"], out) is None
+        path = tmp_path / "trace.csv"
+        reportio.write_trace_csv(trace, path, comments=["c"])
+        text = out.getvalue()
+        assert path.read_text(encoding="utf-8") == text
         assert text.splitlines()[-1].startswith("600,")
 
     def test_streamed_file_peak_is_below_a_quarter_of_its_size(self, rng, tmp_path):
@@ -242,8 +244,10 @@ class TestTraceCsv:
         trace.xhat[3, 0] = np.inf
         # a later row and an earlier column: the first entry in CSV order is named
         trace.x[4, 0] = np.nan
+        out = io.StringIO()
         with pytest.raises(ValueError, match="non-finite number inf"):
-            reportio.trace_csv_text(trace)
+            reportio.trace_csv_text(trace, (), out)
+        assert out.getvalue() == ""
         path = tmp_path / "trace.csv"
         with pytest.raises(ValueError, match="non-finite number inf"):
             reportio.write_trace_csv(trace, path, comments=["summary line"])
