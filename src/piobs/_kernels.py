@@ -16,11 +16,12 @@ import numpy as np
 _BLOCK = 256
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guard below judges every row
 def simulate(A, B, C, L, F, U, x0, xhat0, v0, limit):
     """Return ``(X, Xhat, V, abort_step)``, column views of one stacked array.
 
     ``abort_step`` is the first k whose state has an entry above ``limit`` in
-    magnitude, or -1 for a clean run.
+    magnitude or a NaN, or -1 for a clean run.
     """
     A, B, C, L, F, U = (np.asarray(M, dtype=float) for M in (A, B, C, L, F, U))
     n, p, H = A.shape[0], C.shape[0], U.shape[0]
@@ -30,16 +31,15 @@ def simulate(A, B, C, L, F, U, x0, xhat0, v0, limit):
     Z[0] = np.concatenate([x0, xhat0, v0])
     np.matmul(U, B.T, out=Z[1:, :n])
     abort = -1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, H + 1, _BLOCK):
-            block = Z[start:start + _BLOCK]
-            block[:, n:2 * n] = block[:, :n]
-            prev = Z[start - 1]
-            for z in block:
-                z += step(prev)
-                prev = z
-            over = np.abs(block).max(axis=1) > limit
-            if over.any():
-                abort = start + int(np.argmax(over))
-                break
+    for start in range(1, H + 1, _BLOCK):
+        block = Z[start:start + _BLOCK]
+        block[:, n:2 * n] = block[:, :n]
+        prev = Z[start - 1]
+        for z in block:
+            z += step(prev)
+            prev = z
+        over = ~(np.abs(block).max(axis=1) <= limit)  # NaN rows too
+        if over.any():
+            abort = start + int(np.argmax(over))
+            break
     return Z[:, :n], Z[:, n:2 * n], Z[:, 2 * n:], abort

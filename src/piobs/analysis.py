@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, InputError, NumericalError
 
 #: Eigenvalues with magnitude within this distance of 1 count as unstable.
 BOUNDARY_TOL = 1e-9
@@ -102,10 +102,15 @@ class KalmanDecomposition:
         return linalg.eigenvalues(self.A22)
 
 
+def check_margin(margin):
+    """Raise :class:`InputError` for a stability margin outside [0, 1)."""
+    if not 0.0 <= margin < 1.0:
+        raise InputError(f"margin must be in [0, 1), got {margin}")
+
+
 def is_schur_stable(M, margin=0.0):
     """Test whether all eigenvalues of M have magnitude below ``1 - margin``."""
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    check_margin(margin)
     eig = linalg.eigenvalues(M)
     mags = np.abs(eig)
     worst = int(np.argmax(mags))

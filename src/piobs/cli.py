@@ -49,10 +49,11 @@ def _add_design_flags(p):
                    metavar="Z", help="target observer pole (repeatable; complex "
                    "accepted as e.g. 0.3+0.1j); defaults to a conjugate-closed "
                    "fan of poles at magnitude 0.3")
-    p.add_argument("--phi-scalar", type=float, default=None, metavar="S",
-                   help="integral-loop matrix phi = S * identity (default 0.5)")
-    p.add_argument("--phi-file", default=None, metavar="FILE",
-                   help="JSON file holding phi as an array of arrays")
+    phi = p.add_mutually_exclusive_group()
+    phi.add_argument("--phi-scalar", type=float, default=None, metavar="S",
+                     help="integral-loop matrix phi = S * identity (default 0.5)")
+    phi.add_argument("--phi-file", default=None, metavar="FILE",
+                     help="JSON file holding phi as an array of arrays")
     p.add_argument("--lambda-file", default=None, metavar="FILE",
                    help="JSON file holding the free lambda block")
     p.add_argument("--margin", type=float, default=design_mod.DEFAULT_MARGIN,
@@ -125,18 +126,11 @@ def build_parser():
 
 
 def _config_from_args(args):
-    phi = None
-    if args.phi_scalar is not None and args.phi_file is not None:
-        raise InputError("give either --phi-scalar or --phi-file, not both")
-    if args.phi_scalar is not None:
-        phi = args.phi_scalar
-    elif args.phi_file is not None:
-        phi = reportio.matrix_from_doc({"phi": reportio._load_json(args.phi_file)}, "phi")
-    lam = None
+    phi, lam = args.phi_scalar, None
+    if args.phi_file is not None:
+        phi = reportio.load_matrix(args.phi_file, "phi")
     if args.lambda_file is not None:
-        lam = reportio.matrix_from_doc(
-            {"lambda": reportio._load_json(args.lambda_file)}, "lambda"
-        )
+        lam = reportio.load_matrix(args.lambda_file, "lambda")
     return design_mod.DesignConfig(
         target_poles=tuple(args.pole) if args.pole else None,
         phi=phi,
@@ -177,28 +171,31 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def cmd_design(args):
-    system = reportio.load_system(args.system, tol_rank=args.tol_rank)
-    config = _config_from_args(args)
+def _design_file(path, config, out):
+    """Design for the system file ``path``, report to ``out`` or stdout; exit 0 or 2."""
+    system = reportio.load_system(path, tol_rank=config.tol_rank)
     try:
         observer = design_mod.design_pi_observer(system, config)
     except NotDetectableError as exc:
         doc = reportio.infeasible_report_doc(system, exc.witnesses, config.tol_rank)
-        if args.out:
-            reportio.write_doc(doc, args.out)
+        if out:
+            reportio.write_doc(doc, out)
         else:
             print(reportio.dumps_doc(doc))
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    verification = observer.verification
-    doc = reportio.design_report_doc(observer, verification)
-    if args.out:
-        reportio.write_doc(doc, args.out)
-        print(f"feasible: spectral radius {verification.spectral_radius:.9g}, "
-              f"report written to {args.out}")
+    doc = reportio.design_report_doc(observer, observer.verification)
+    if out:
+        reportio.write_doc(doc, out)
+        print(f"feasible: spectral radius {observer.verification.spectral_radius:.9g}, "
+              f"report written to {out}")
     else:
         print(reportio.dumps_doc(doc))
     return EXIT_OK
+
+
+def cmd_design(args):
+    return _design_file(args.system, _config_from_args(args), args.out)
 
 
 def _input_signal_from_args(args, m):
@@ -230,10 +227,11 @@ def cmd_simulate(args):
     summary = (f"converged_step={converged} tail_converged={trace.tail_converged} "
                f"decay_rate={rate:.6g} tol={args.tol:g}")
     if args.out:
-        reportio.write_trace_csv(trace, args.out, comments=[summary])
+        with open(args.out, "w", encoding="utf-8") as fh:
+            reportio.trace_csv_text(trace, [summary], fh)
         print(summary)
     else:
-        reportio.trace_csv_text(trace, comments=[summary], out=sys.stdout)
+        reportio.trace_csv_text(trace, [summary], sys.stdout)
     return EXIT_OK
 
 
@@ -269,6 +267,7 @@ def cmd_verify(args):
 
 
 def cmd_batch(args):
+    config = _config_from_args(args)
     out_dir = pathlib.Path(args.out_dir) if args.out_dir else None
     reports = [str(out_dir / f"{pathlib.Path(path).stem}.report.json") if out_dir else None
                for path in args.systems]
@@ -280,9 +279,8 @@ def cmd_batch(args):
         out_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for path, report_path in zip(args.systems, reports):
-        sub_args = argparse.Namespace(**vars(args), system=path, out=report_path)
         try:
-            status = cmd_design(sub_args)
+            status = _design_file(path, config, report_path)
             note = "feasible" if status == EXIT_OK else "infeasible"
         except PiobsError as exc:
             status = _status_for(exc)

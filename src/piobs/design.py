@@ -62,11 +62,6 @@ def default_target_poles(count):
     return tuple(complex(z) for z in 0.3 * np.exp(1j * angles))
 
 
-def _check_margin(margin):
-    if not 0.0 <= margin < 1.0:
-        raise InputError(f"margin must be in [0, 1), got {margin}")
-
-
 @dataclass(frozen=True)
 class DesignConfig:
     """Choices and tolerances for one observer design.
@@ -91,7 +86,9 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_margin(self.margin)
+        analysis.check_margin(self.margin)
+        if not 0.0 <= self.tol_eig < np.inf:
+            raise InputError(f"tol_eig must be finite and nonnegative, got {self.tol_eig}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.target_poles is not None:
@@ -116,8 +113,7 @@ class DesignConfig:
                 f"target poles must have magnitude below 1 - margin = "
                 f"{1.0 - self.margin:.9g}; got magnitude {worst:.9g}"
             )
-        if not linalg.is_conjugate_closed(poles):
-            raise InputError("target poles must be closed under complex conjugation")
+        linalg.group_conjugate_roots(poles)  # InputError unless conjugate-closed
         return poles
 
     def resolved_phi(self, p):
@@ -281,8 +277,6 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
     targets = tuple(complex(z) for z in np.atleast_1d(np.asarray(target_poles, dtype=complex)))
     if len(targets) != n:
         raise InputError(f"expected {n} target poles, got {len(targets)}")
-    if not linalg.is_conjugate_closed(targets):
-        raise InputError("target poles must be closed under complex conjugation")
     if not analysis.is_observable(A, C, tol_rank):
         raise NotObservableError(
             "pole placement requires an observable pair (A, C); the PBH test fails"
@@ -584,7 +578,7 @@ def verify_design(observer, margin=None):
     """
     if margin is None:
         margin = observer.config.margin
-    _check_margin(margin)
+    analysis.check_margin(margin)
     system = observer.system
     n, p = system.n, system.p
     aug = observer.augmented()

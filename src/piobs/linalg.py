@@ -97,10 +97,10 @@ def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
     """Number of singular values above ``tol_rank`` times the largest one.
 
     The zero matrix has rank 0. Accepts real or complex input (the PBH test
-    stacks complex matrices).
+    stacks complex matrices); ``tol_rank`` must lie in (0, 1).
     """
-    if tol_rank <= 0:
-        raise InputError(f"tol_rank must be positive, got {tol_rank}")
+    if not 0.0 < tol_rank < 1.0:
+        raise InputError(f"tol_rank must be in (0, 1), got {tol_rank}")
     arr = np.asarray(M)
     if arr.size == 0:
         return 0
@@ -134,15 +134,6 @@ def group_conjugate_roots(values):
             )
         pairs.append(complex(u))
     return reals, pairs
-
-
-def is_conjugate_closed(values):
-    """True when the multiset equals its elementwise conjugate within ``CONJUGATE_TOL``."""
-    try:
-        group_conjugate_roots(values)
-    except InputError:
-        return False
-    return True
 
 
 def solve(M, rhs):

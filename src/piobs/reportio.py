@@ -73,8 +73,9 @@ def dumps_doc(obj, indent=0):
 
 
 def write_doc(doc, path):
+    text = dumps_doc(doc) + "\n"  # serialized first: a failure leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_doc(doc) + "\n")
+        fh.write(text)
 
 
 def matrix_to_doc(M):
@@ -159,6 +160,11 @@ def _load_json(path):
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def load_matrix(path, key):
+    """Read a JSON file holding one matrix, an array of rows, named ``key`` in errors."""
+    return matrix_from_doc({key: _load_json(path)}, key)
+
+
 def load_system(path, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Read a system file and construct the validated realization."""
     doc = _load_json(path)
@@ -181,6 +187,10 @@ def load_system(path, tol_rank=linalg.DEFAULT_TOL_RANK):
 # Design reports
 
 
+def _system_header(system):
+    return {"name": system.name, "n": system.n, "m": system.m, "p": system.p}
+
+
 def _config_to_doc(observer):
     cfg = observer.config
     return {
@@ -201,12 +211,7 @@ def design_report_doc(observer, verification):
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
-        "system": {
-            "name": system.name,
-            "n": system.n,
-            "m": system.m,
-            "p": system.p,
-        },
+        "system": _system_header(system),
         "verdict": "feasible",
         "config": _config_to_doc(observer),
         "gains": {
@@ -248,12 +253,7 @@ def infeasible_report_doc(system, witnesses, tol_rank=linalg.DEFAULT_TOL_RANK):
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
-        "system": {
-            "name": system.name,
-            "n": system.n,
-            "m": system.m,
-            "p": system.p,
-        },
+        "system": _system_header(system),
         "verdict": "infeasible",
         "witnesses": spectrum_to_doc(witnesses),
         "tolerances": {"tol_rank": tol_rank},
@@ -333,7 +333,7 @@ def analysis_report_doc(system, tol_rank=linalg.DEFAULT_TOL_RANK):
     doc = {
         "format": ANALYSIS_FORMAT,
         "version": FORMAT_VERSION,
-        "system": {"name": system.name, "n": system.n, "m": system.m, "p": system.p},
+        "system": _system_header(system),
         "eigenvalues": [
             {
                 "value": complex_to_doc(c.eigenvalue),
@@ -431,9 +431,3 @@ def trace_csv_text(trace, comments, out):
         stop = start + _TRACE_BLOCK_ROWS
         block = np.column_stack([c[start:stop] for c in columns]).tolist()
         out.write("".join([row % (k, *r) for k, r in enumerate(block, start)]))
-
-
-def write_trace_csv(trace, path, comments):
-    """Stream a trace to ``path`` as CSV, 256 rows at a time (see :func:`trace_csv_text`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        trace_csv_text(trace, comments, fh)

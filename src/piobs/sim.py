@@ -106,9 +106,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise InputError(f"horizon must be at least 1, got {self.horizon}")
-        if self.convergence_tol <= 0:
+        if not 0.0 < self.convergence_tol < np.inf:
             raise InputError(
-                f"convergence tolerance must be positive, got {self.convergence_tol}"
+                f"convergence tolerance must be positive and finite, got {self.convergence_tol}"
             )
 
 
@@ -198,8 +198,8 @@ def run_simulation(system, observer, config=None):
     """Simulate plant and observer together over the configured horizon.
 
     Aborts with :class:`SimulationDivergenceError` (identifying the step)
-    if any state norm exceeds the overflow limit; the error system itself
-    stays bounded for a valid observer even when the plant diverges.
+    if any state norm exceeds the overflow limit or is not finite; the error
+    system itself stays bounded for a valid observer even when the plant diverges.
     """
     config = config or SimulationConfig()
     _check_observer_dims(system, observer)
@@ -214,9 +214,7 @@ def run_simulation(system, observer, config=None):
         U, x0, xhat0, v0, OVERFLOW_LIMIT,
     )
     if abort >= 0:
-        worst = max(
-            np.abs(X[abort]).max(), np.abs(Xh[abort]).max(), np.abs(V[abort]).max()
-        )
+        worst = np.abs(np.concatenate([X[abort], Xh[abort], V[abort]])).max()
         raise SimulationDivergenceError(step=abort, norm=worst, limit=OVERFLOW_LIMIT)
 
     err_inf = np.empty(X.shape[0])

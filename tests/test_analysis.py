@@ -4,7 +4,7 @@ import pytest
 import gen_systems as gen
 import oracles
 from piobs import analysis, linalg
-from piobs.errors import NumericalError
+from piobs.errors import InputError, NumericalError
 
 
 def diag_pair(c_row):
@@ -31,6 +31,11 @@ class TestSchurStability:
     def test_margin_shrinks_the_disk(self):
         assert analysis.is_schur_stable([[0.95]], margin=0.0)
         assert not analysis.is_schur_stable([[0.95]], margin=0.1)
+
+    @pytest.mark.parametrize("margin", [-0.5, 1.0, 1.5, np.nan])
+    def test_margin_outside_unit_interval_is_input_error(self, margin):
+        with pytest.raises(InputError, match=r"margin must be in \[0, 1\)"):
+            analysis.is_schur_stable([[0.5]], margin=margin)
 
 
 class TestPbhRank:

@@ -1,10 +1,13 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from piobs import cli, design, reportio
+from piobs import cli, design, linalg, reportio
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -35,6 +38,8 @@ def design_worked(tmp_path, worked_file, *extra):
 
 #: Stability margins outside [0, 1): negative, non-finite, and at or above 1.
 BAD_MARGINS = ["-0.5", "nan", "inf", "1", "1.5"]
+#: Rank tolerances outside (0, 1) that pass a positivity test; each makes every rank 0.
+BAD_TOL_RANKS = ["nan", "inf", "1", "1.5"]
 
 
 class TestAnalyze:
@@ -119,6 +124,58 @@ class TestDesign:
         assert "margin must be in [0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol_rank", BAD_TOL_RANKS)
+    def test_tol_rank_outside_unit_interval_exits_3(self, tmp_path, worked_file, capsys,
+                                                     tol_rank):
+        # the tolerance is named, not the rank deficiency of C it would cause
+        out = tmp_path / "report.json"
+        assert cli.main(["design", worked_file, f"--tol-rank={tol_rank}",
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "piobs: error:" in err and "tol_rank must be in (0, 1)" in err
+        assert "full row rank" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol_eig", ["nan", "inf", "-1e-8"])
+    def test_bad_tol_eig_exits_3_and_writes_nothing(self, tmp_path, capsys, tol_eig):
+        # a NaN would first fail in the report writer, after --out was opened
+        out = tmp_path / "report.json"
+        assert cli.main(["design", str(DATA / "observable5.system.json"),
+                         f"--tol-eig={tol_eig}", "--out", str(out)]) == 3
+        assert "piobs: error: tol_eig must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_scalar_and_phi_file_together_exit_3(self, tmp_path, worked_file, capsys):
+        phi = tmp_path / "phi.json"
+        phi.write_text("[[0.3]]")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["design", worked_file, "--phi-scalar", "0.3", "--phi-file", str(phi)])
+        assert err.value.code == 3
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_phi_and_lambda_files_match_the_scalar_design(self, tmp_path, capsys):
+        # acceptance criterion 9 through the CLI: the free block moves the
+        # gains, not the augmented spectrum
+        system = str(DATA / "observable5.system.json")
+        phi = [[0.3, 0.0], [0.0, 0.3]]
+        lam = [[0.5, -0.25], [0.125, 1.0], [-2.0, 0.75]]
+        (tmp_path / "phi.json").write_text(json.dumps(phi))
+        (tmp_path / "lambda.json").write_text(json.dumps(lam))
+        files, scalar = str(tmp_path / "files.json"), str(tmp_path / "scalar.json")
+        assert cli.main(["design", system, "--phi-file", str(tmp_path / "phi.json"),
+                         "--lambda-file", str(tmp_path / "lambda.json"), "--out", files]) == 0
+        assert cli.main(["design", system, "--phi-scalar", "0.3", "--out", scalar]) == 0
+        a, b = (json.loads(open(path).read()) for path in (files, scalar))
+        assert a["config"]["phi"] == phi and a["config"]["lambda"] == lam
+        assert b["config"]["lambda"] == [[0, 0]] * 3
+        assert a["gains"]["L"] != b["gains"]["L"]
+        assert cli.main(["verify", system, files]) == 0
+        out = capsys.readouterr().out
+        for check in ("augmented-schur-stability", "similarity-identity", "phi-identity"):
+            assert f"PASS {check}" in out
+        spectra = [[complex(*z) for z in doc["spectra"]["augmented"]] for doc in (a, b)]
+        assert linalg.pairing_distance(*spectra) <= 1e-6
+
 
 class TestVerify:
     def test_round_trip_passes(self, tmp_path, worked_file, capsys):
@@ -201,6 +258,23 @@ class TestVerify:
         assert cli.main(["verify", undetectable_file, str(out)]) == 3
         assert "tol_rank" in capsys.readouterr().err
 
+    def test_nan_tol_rank_of_an_infeasible_report_exits_3(self, tmp_path, capsys):
+        # an observable plant: a NaN tolerance would make every PBH rank 0 and
+        # "confirm" the infeasible verdict
+        system = tmp_path / "observable.json"
+        system.write_text('{"A": [[1.2, 0.0], [0.0, 0.5]], "B": [[1.0], [1.0]], '
+                          '"C": [[1.0, 1.0]]}')
+        report = tmp_path / "rep.json"
+        report.write_text(json.dumps({
+            "format": reportio.REPORT_FORMAT, "version": 1,
+            "system": {"name": "", "n": 2, "m": 1, "p": 1}, "verdict": "infeasible",
+            "witnesses": [[1.2, 0.0]], "tolerances": {"tol_rank": float("nan")},
+        }))
+        assert cli.main(["verify", str(system), str(report)]) == 3
+        captured = capsys.readouterr()
+        assert "piobs: error: tol_rank must be in (0, 1), got nan" in captured.err
+        assert "confirmed" not in captured.out
+
     def test_report_against_wrong_system_exits_3(self, tmp_path, worked_file,
                                                  undetectable_file):
         out = design_worked(tmp_path, worked_file)
@@ -242,20 +316,50 @@ class TestSimulate:
     def test_error_column_is_input_independent(self, tmp_path, worked_file):
         report = design_worked(tmp_path, worked_file)
         errs = []
-        for kind in ("zero", "random"):
+        for kind in ("zero", "random", "constant", "step"):
             trace_path = str(tmp_path / f"trace_{kind}.csv")
-            cli.main([
-                "simulate", worked_file, report, "--horizon", "200",
-                "--x0", "1", "--xhat0", "0", "--input", kind, "--out", trace_path,
-            ])
+            assert cli.main([
+                "simulate", worked_file, report, "--horizon", "200", "--x0", "1",
+                "--xhat0", "0", "--v0", "0.25", "--tol", "1e-9", "--input", kind,
+                "--out", trace_path,
+            ]) == 0
             with open(trace_path) as fh:
-                rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-            errs.append(np.array([float(r[-2]) for r in rows[1:]]))
-        assert np.abs(errs[0] - errs[1]).max() <= 5e-9
+                rows = list(csv.reader(fh))
+            assert rows[0][0].endswith(" tol=1e-09")
+            assert float(rows[2][3]) == 0.25  # v1 at k = 0
+            errs.append(np.array([float(r[-2]) for r in rows[2:]]))
+        for err in errs[1:]:
+            assert np.abs(err - errs[0]).max() <= 5e-9
 
     def test_dimension_mismatch_exits_3(self, tmp_path, worked_file, undetectable_file):
         report = design_worked(tmp_path, worked_file)
         assert cli.main(["simulate", undetectable_file, report]) == 3
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_3(self, tmp_path, worked_file, capsys, tol):
+        # nan would never converge and inf would converge at step 0
+        report = design_worked(tmp_path, worked_file)
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", worked_file, report, f"--tol={tol}",
+                         "--out", str(out)]) == 3
+        assert ("piobs: error: convergence tolerance must be positive and finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_non_finite_state_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        # L C overflows to inf and inf * 0 makes xhat NaN at step 1, which no
+        # test against the overflow limit catches
+        system = tmp_path / "sys.json"
+        system.write_text('{"A": [[0.5]], "B": [[1.0]], "C": [[2.0]]}')
+        report = tmp_path / "report.json"
+        assert cli.main(["design", str(system), "--pole", "0.2", "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["gains"]["L"] = [[1e308]]
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", str(system), str(report), "--out", str(out)]) == 4
+        assert "piobs: error: simulation aborted at step 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_random_input_seed_exits_3(self, tmp_path, worked_file, capsys):
         report = design_worked(tmp_path, worked_file)
@@ -294,5 +398,17 @@ class TestBatch:
         out_dir = tmp_path / "reports"
         assert cli.main(["batch", worked_file, "--seed", "-1",
                          "--out-dir", str(out_dir)]) == 3
-        assert "seed must be nonnegative" in capsys.readouterr().out
-        assert not (out_dir / "worked.report.json").exists()
+        captured = capsys.readouterr()
+        assert captured.err.count("seed must be nonnegative") == 1
+        assert "[3]" not in captured.out
+        assert not out_dir.exists()
+
+    def test_bad_flag_is_refused_once_before_any_design(self, tmp_path, worked_file,
+                                                        undetectable_file, capsys):
+        out_dir = tmp_path / "r"
+        assert cli.main(["batch", worked_file, undetectable_file, "--margin", "nan",
+                         "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "piobs: error: margin must be in [0, 1), got nan\n"
+        assert captured.out == ""
+        assert not out_dir.exists()

@@ -121,6 +121,17 @@ class TestBlockedOverflowCheck:
         assert err.value.norm == pytest.approx(norm, rel=1e-12)
         assert err.value.limit == limit
 
+    @pytest.mark.parametrize("abort_step", ABORT_STEPS)
+    def test_first_nan_row_aborts_at_its_own_step(self, abort_step):
+        # a NaN is never above the limit, yet no later row can be trusted
+        one = np.eye(1)
+        U = np.zeros((self.HORIZON, 1))
+        U[abort_step - 1] = np.nan
+        X, _, _, abort = _kernels.simulate(0.5 * one, one, one, 0 * one, 0 * one, U,
+                                           np.ones(1), np.ones(1), np.zeros(1), 1e12)
+        assert abort == abort_step
+        assert np.isfinite(X[:abort_step]).all() and np.isnan(X[abort_step, 0])
+
     def test_rows_past_abort_raise_no_warning(self):
         # Near the top of the float range the rows after the abort step in the
         # same block overflow to inf and then nan; a stepwise loop never

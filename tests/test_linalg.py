@@ -39,7 +39,8 @@ class TestEigenvalues:
         for _ in range(50):
             n = int(rng.integers(1, 9))
             eig = linalg.eigenvalues(rng.standard_normal((n, n)))
-            assert linalg.is_conjugate_closed(eig)
+            reals, pairs = linalg.group_conjugate_roots(eig)
+            assert len(reals) + 2 * len(pairs) == n
 
 
 class TestNumericalRank:
@@ -63,6 +64,12 @@ class TestNumericalRank:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(InputError):
             linalg.numerical_rank(np.eye(2), tol_rank=0.0)
+
+    @pytest.mark.parametrize("tol_rank", [np.nan, np.inf, 1.0, 1.5])
+    def test_rejects_tolerance_outside_unit_interval(self, tol_rank):
+        # each of these makes every rank 0
+        with pytest.raises(InputError, match=r"tol_rank must be in \(0, 1\)"):
+            linalg.numerical_rank(np.eye(2), tol_rank=tol_rank)
 
 
 @st.composite

@@ -45,6 +45,12 @@ class TestJsonEmission:
         back = json.loads(reportio.dumps_doc(doc))
         assert back["values"] == values
 
+    def test_unserializable_doc_leaves_no_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError, match="non-finite number nan"):
+            reportio.write_doc({"tol_eig": float("nan")}, path)
+        assert not path.exists()
+
     def test_nested_structure_and_determinism(self):
         doc = {"m": [[1.0, 2.0], [3.0, 4.0]], "flag": True, "none": None}
         assert reportio.dumps_doc(doc) == reportio.dumps_doc(doc)
@@ -178,9 +184,9 @@ class TestTraceCsv:
             worked_system, worked_observer,
             SimulationConfig(horizon=10, input_signal=RandomInput(seed=1)),
         )
-        path = tmp_path / "trace.csv"
-        reportio.write_trace_csv(trace, path, comments=["summary line"])
-        lines = path.read_text().splitlines()
+        out = io.StringIO()
+        reportio.trace_csv_text(trace, ["summary line"], out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "# summary line"
         assert lines[1] == "k,x1,xhat1,v1,err_inf,v_inf"
         assert len(lines) == 2 + 11
@@ -216,7 +222,8 @@ class TestTraceCsv:
         out = io.StringIO()
         assert reportio.trace_csv_text(trace, ["c"], out) is None
         path = tmp_path / "trace.csv"
-        reportio.write_trace_csv(trace, path, comments=["c"])
+        with open(path, "w", encoding="utf-8") as fh:
+            reportio.trace_csv_text(trace, ["c"], fh)
         text = out.getvalue()
         assert path.read_text(encoding="utf-8") == text
         assert text.splitlines()[-1].startswith("600,")
@@ -232,7 +239,8 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         tracemalloc.start()
         try:
-            reportio.write_trace_csv(trace, path, comments=["summary line"])
+            with open(path, "w", encoding="utf-8") as fh:
+                reportio.trace_csv_text(trace, ["summary line"], fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,6 +257,7 @@ class TestTraceCsv:
             reportio.trace_csv_text(trace, (), out)
         assert out.getvalue() == ""
         path = tmp_path / "trace.csv"
-        with pytest.raises(ValueError, match="non-finite number inf"):
-            reportio.write_trace_csv(trace, path, comments=["summary line"])
+        with open(path, "w", encoding="utf-8") as fh:
+            with pytest.raises(ValueError, match="non-finite number inf"):
+                reportio.trace_csv_text(trace, ["summary line"], fh)
         assert path.read_text() == ""

@@ -90,6 +90,9 @@ class TestInputSignals:
             SimulationConfig(horizon=0)
         with pytest.raises(InputError):
             SimulationConfig(convergence_tol=0.0)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(InputError):
+                SimulationConfig(convergence_tol=tol)
 
 
 class TestRunSimulation:
