@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, InputError, NumericalError
+from .errors import DimensionError, InputError, NumericalError, RankDeficiencyError
 
 #: Eigenvalues with magnitude within this distance of 1 count as unstable.
 BOUNDARY_TOL = 1e-9
@@ -103,8 +103,8 @@ class KalmanDecomposition:
 
 
 def check_margin(margin):
-    """Raise :class:`InputError` for a stability margin outside [0, 1)."""
-    if not 0.0 <= margin < 1.0:
+    """Raise :class:`InputError` unless ``margin`` is a real number in [0, 1)."""
+    if not (linalg.is_real(margin) and 0.0 <= margin < 1.0):
         raise InputError(f"margin must be in [0, 1), got {margin}")
 
 
@@ -166,7 +166,7 @@ def classify_eigenvalues(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     """
     A, C = check_pair(A, C)
     if not np.any(C):
-        raise ValueError("C must be nonzero to classify observability")
+        raise RankDeficiencyError("C must be nonzero to classify observability")
     n = A.shape[0]
     eig = linalg.eigenvalues(A)
     reps, assignment = _cluster_representatives(eig)

@@ -249,20 +249,10 @@ def cmd_verify(args):
         return EXIT_NUMERICAL
     observer = reportio.observer_from_report(system, doc)
     report = design_mod.verify_design(observer, args.margin)
-    out_doc = reportio.verification_to_doc(report)
-    checks = [
-        ("augmented-schur-stability", report.schur_ok,
-         f"spectral radius {report.spectral_radius:.9g} vs margin {report.margin:g}"),
-        ("spectrum-split", report.spectrum_ok,
-         f"(diagnostic, not gated) pairing distance {report.spectrum_distance:.3e}"),
-        ("similarity-identity", report.similarity_ok,
-         f"residual {report.similarity_residual:.3e}"),
-        ("phi-identity", report.phi_ok, f"residual {report.phi_residual:.3e}"),
-    ]
-    for name, ok, detail in checks:
+    for name, (ok, detail) in report.checks().items():
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if args.out:
-        reportio.write_doc(out_doc, args.out)
+        reportio.write_doc(reportio.verification_to_doc(report), args.out)
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 

@@ -87,10 +87,10 @@ class DesignConfig:
 
     def __post_init__(self):
         analysis.check_margin(self.margin)
-        if not 0.0 <= self.tol_eig < np.inf:
+        linalg.check_tol_rank(self.tol_rank)
+        if not (linalg.is_real(self.tol_eig) and 0.0 <= self.tol_eig < np.inf):
             raise InputError(f"tol_eig must be finite and nonnegative, got {self.tol_eig}")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        linalg.check_seed(self.seed)
         if self.target_poles is not None:
             object.__setattr__(
                 self, "target_poles",
@@ -107,8 +107,8 @@ class DesignConfig:
                 f"expected {count} target pole(s) for the freely assignable "
                 f"block, got {len(poles)}"
             )
-        worst = max(abs(z) for z in poles)
-        if worst >= 1.0 - self.margin:
+        worst = float(np.max(np.abs(poles)))  # NaN when any pole is NaN
+        if not worst < 1.0 - self.margin:
             raise InputError(
                 f"target poles must have magnitude below 1 - margin = "
                 f"{1.0 - self.margin:.9g}; got magnitude {worst:.9g}"
@@ -123,9 +123,7 @@ class DesignConfig:
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim == 0:
             phi = float(phi) * np.eye(p)
-        phi = linalg.as_square(phi, "phi")
-        if phi.shape[0] != p:
-            raise DimensionError(f"phi must be {p}x{p}, got {phi.shape}")
+        phi = linalg.as_shaped(phi, (p, p), "phi")
         if not np.any(phi):
             raise InputError("phi must be nonzero")
         verdict = analysis.is_schur_stable(phi, self.margin)
@@ -140,14 +138,7 @@ class DesignConfig:
         """Validated (n-p) x p free block (default zero)."""
         if self.lambda_block is None:
             return np.zeros((n - p, p))
-        lam = np.asarray(self.lambda_block, dtype=float)
-        if lam.ndim != 2 or lam.shape != (n - p, p):
-            raise DimensionError(
-                f"lambda block must have shape ({n - p}, {p}), got {lam.shape}"
-            )
-        if lam.size and not np.all(np.isfinite(lam)):
-            raise InputError("lambda block contains non-finite entries")
-        return lam
+        return linalg.as_shaped(self.lambda_block, (n - p, p), "lambda block")
 
 
 def _chain_links(shifts, p):
@@ -463,9 +454,8 @@ def coupling_matrix(T, phi, lambda_block=None):
     n, p = T.shape[0], phi.shape[0]
     if p > n:
         raise DimensionError(f"phi is {p}x{p} but T is only {n}x{n}")
-    lam = np.zeros((n - p, p)) if lambda_block is None else np.asarray(lambda_block, dtype=float)
-    if lam.shape != (n - p, p):
-        raise DimensionError(f"lambda block must have shape ({n - p}, {p}), got {lam.shape}")
+    lam = (np.zeros((n - p, p)) if lambda_block is None
+           else linalg.as_shaped(lambda_block, (n - p, p), "lambda block"))
     stacked = np.vstack([np.eye(p) - phi, lam])
     return linalg.solve(T, stacked)
 
@@ -474,12 +464,7 @@ def augmented_matrix(system, L, F):
     """Joint error/integrator transition matrix [[A - LC, F], [-C, I]]."""
     A, C = system.A, system.C
     n, p = system.n, system.p
-    L = linalg.as_matrix(L, "L")
-    F = linalg.as_matrix(F, "F")
-    if L.shape != (n, p):
-        raise DimensionError(f"L must be {n}x{p}, got {L.shape}")
-    if F.shape != (n, p):
-        raise DimensionError(f"F must be {n}x{p}, got {F.shape}")
+    L, F = (linalg.as_shaped(M, (n, p), name) for M, name in ((L, "L"), (F, "F")))
     return np.block([[A - L @ C, F], [-C, np.eye(p)]])
 
 
@@ -492,7 +477,9 @@ class PiObserver:
     or reproduced later. ``verification`` holds the :func:`verify_design`
     report that :func:`design_pi_observer` gated the design on; it is ``None``
     for an observer built any other way (read back from a report, or made
-    with ``dataclasses.replace``), since its gains were never checked.
+    with ``dataclasses.replace``), since its gains were never checked. The
+    constructor checks the shape and finiteness of each matrix
+    (:func:`linalg.as_shaped`).
     """
 
     system: SystemRealization
@@ -509,6 +496,14 @@ class PiObserver:
     verification: "VerificationReport | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        n, p = self.system.n, self.system.p
+        shapes = {"L": (n, p), "F": (n, p), "K": (n, p), "T": (n, n), "X": (n, p),
+                  "phi": (p, p), "lambda_block": (n - p, p)}
+        for name, shape in shapes.items():
+            M = linalg.as_shaped(getattr(self, name), shape, f"observer {name}")
+            object.__setattr__(self, name, M)
 
     def augmented(self):
         """The (n+p) x (n+p) matrix governing the error and integral states."""
@@ -560,11 +555,19 @@ class VerificationReport:
         """
         return self.schur_ok and self.similarity_ok and self.phi_ok
 
+    def checks(self):
+        """The four checks in order, by name: (passed, the figure it judged)."""
+        radius = f"spectral radius {self.spectral_radius:.9g} vs margin {self.margin:g}"
+        pairing = f"(diagnostic, not gated) pairing distance {self.spectrum_distance:.3e}"
+        return {"augmented-schur-stability": (self.schur_ok, radius),
+                "spectrum-split": (self.spectrum_ok, pairing),
+                "similarity-identity": (self.similarity_ok,
+                                        f"residual {self.similarity_residual:.3e}"),
+                "phi-identity": (self.phi_ok, f"residual {self.phi_residual:.3e}")}
+
     def failed_checks(self):
         """Names of every failed check, the spectrum-split diagnostic included."""
-        checks = {"augmented-schur-stability": self.schur_ok, "spectrum-split": self.spectrum_ok,
-                  "similarity-identity": self.similarity_ok, "phi-identity": self.phi_ok}
-        return tuple(name for name, ok in checks.items() if not ok)
+        return tuple(name for name, (ok, _) in self.checks().items() if not ok)
 
 
 def verify_design(observer, margin=None):

@@ -32,6 +32,23 @@ CONJUGATE_TOL = 1e-9
 PIVOT_RELAX = 0.25
 
 
+def is_real(value):
+    """True for a real number: a Python or numpy int or float, but not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_tol_rank(tol_rank):
+    """Raise :class:`InputError` unless ``tol_rank`` is a real number in (0, 1)."""
+    if not (is_real(tol_rank) and 0.0 < tol_rank < 1.0):
+        raise InputError(f"tol_rank must be in (0, 1), got {tol_rank}")
+
+
+def check_seed(seed):
+    """Raise :class:`InputError` unless ``seed`` is a nonnegative integer (not a bool)."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise InputError(f"seed must be nonnegative and an integer, got {seed}")
+
+
 def as_matrix(M, name="matrix"):
     """Validate and return ``M`` as a finite 2-D float64 array.
 
@@ -58,6 +75,20 @@ def as_square(M, name="matrix"):
     arr = as_matrix(M, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name}: expected a square matrix, got {arr.shape}")
+    return arr
+
+
+def as_shaped(M, shape, name):
+    """``M`` as a float64 array of exactly ``shape``, with finite entries.
+
+    Unlike :func:`as_matrix`, nothing is promoted and an empty shape such as
+    (0, p) is allowed.
+    """
+    arr = np.asarray(M, dtype=float)
+    if arr.shape != shape:
+        raise DimensionError(f"{name} must be {'x'.join(map(str, shape))}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -97,10 +128,9 @@ def numerical_rank(M, tol_rank=DEFAULT_TOL_RANK):
     """Number of singular values above ``tol_rank`` times the largest one.
 
     The zero matrix has rank 0. Accepts real or complex input (the PBH test
-    stacks complex matrices); ``tol_rank`` must lie in (0, 1).
+    stacks complex matrices); ``tol_rank`` must pass :func:`check_tol_rank`.
     """
-    if not 0.0 < tol_rank < 1.0:
-        raise InputError(f"tol_rank must be in (0, 1), got {tol_rank}")
+    check_tol_rank(tol_rank)
     arr = np.asarray(M)
     if arr.size == 0:
         return 0

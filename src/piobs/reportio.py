@@ -14,7 +14,6 @@ from .design import DEFAULT_MARGIN, DesignConfig, PiObserver, VerificationReport
 from .errors import DimensionError, InputError
 from .systems import SystemRealization
 
-SYSTEM_FORMAT = "pi-observer-system"
 REPORT_FORMAT = "pi-observer-design-report"
 ANALYSIS_FORMAT = "pi-observer-analysis"
 VERIFICATION_FORMAT = "pi-observer-verification"
@@ -95,17 +94,13 @@ def complex_from_doc(item, context="complex value"):
     if not (isinstance(item, (list, tuple)) and len(item) == 2):
         raise InputError(f"{context}: expected a [re, im] pair, got {item!r}")
     re, im = item
-    if not _is_number(re) or not _is_number(im):
+    if not linalg.is_real(re) or not linalg.is_real(im):
         raise InputError(f"{context}: expected numeric [re, im] pair, got {item!r}")
     return complex(float(re), float(im))
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def matrix_from_doc(doc, key, rows=None, cols=None):
-    """Parse and validate a matrix field, naming the offending row on error."""
+def matrix_from_doc(doc, key):
+    """Parse a matrix field, naming the offending row on error; its owner checks the shape."""
     if key not in doc:
         raise InputError(f"missing required field {key!r}")
     raw = doc[key]
@@ -123,31 +118,16 @@ def matrix_from_doc(doc, key, rows=None, cols=None):
                 f"{key}: row {i} has {len(row)} entries, expected {width}"
             )
         for j, v in enumerate(row, start=1):
-            if not _is_number(v):
+            if not linalg.is_real(v):
                 raise InputError(
                     f"{key}: row {i}, column {j}: expected a number, got {v!r}"
                 )
         out.append([float(v) for v in row])
-    M = np.array(out)
-    if rows is not None and M.shape[0] != rows:
-        raise DimensionError(f"{key}: expected {rows} rows, got {M.shape[0]}")
-    if cols is not None and M.shape[1] != cols:
-        raise DimensionError(f"{key}: expected {cols} columns, got {M.shape[1]}")
-    return M
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
 # System files
-
-
-def system_to_doc(system):
-    doc = {"format": SYSTEM_FORMAT, "version": FORMAT_VERSION}
-    if system.name:
-        doc["name"] = system.name
-    doc["A"] = matrix_to_doc(system.A)
-    doc["B"] = matrix_to_doc(system.B)
-    doc["C"] = matrix_to_doc(system.C)
-    return doc
 
 
 def _load_json(path):
@@ -174,9 +154,7 @@ def load_system(path, tol_rank=linalg.DEFAULT_TOL_RANK):
     if name and not isinstance(name, str):
         raise InputError(f"{path}: 'name' must be a string")
     try:
-        A = matrix_from_doc(doc, "A")
-        B = matrix_from_doc(doc, "B", rows=A.shape[0])
-        C = matrix_from_doc(doc, "C", cols=A.shape[0])
+        A, B, C = (matrix_from_doc(doc, key) for key in "ABC")
         return SystemRealization(A=A, B=B, C=C, name=name, tol_rank=tol_rank)
     except InputError as exc:
         # keep the subclass (dimension / rank deficiency) while adding the path
@@ -267,55 +245,58 @@ def load_report(path):
         raise InputError(f"{path}: not a design report document")
     if doc.get("verdict") not in ("feasible", "infeasible"):
         raise InputError(f"{path}: missing or invalid 'verdict'")
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict) or not _is_number(tolerances.get("tol_rank", 0)):
-        raise InputError(f"{path}: 'tolerances' must map 'tol_rank' to a number")
+    _object(doc, "tolerances")  # its tol_rank is checked where ranks are taken
     return doc
 
 
+def _object(doc, key):
+    """The JSON object ``doc[key]``, {} when absent; :class:`InputError` for another type."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"report field {key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _poles_from_doc(poles, key):
+    items = poles.get(key, [])
+    if not isinstance(items, list):
+        raise InputError(f"poles.{key}: expected an array of pairs, got {type(items).__name__}")
+    return tuple(complex_from_doc(item, f"poles.{key}") for item in items)
+
+
 def observer_from_report(system, doc):
-    """Rebuild a :class:`PiObserver` from a feasible report and its system."""
+    """Rebuild a :class:`PiObserver` from a feasible report and its system.
+
+    Fields of the wrong JSON type raise :class:`InputError` naming the field;
+    :class:`DesignConfig` checks the config values as read, and
+    :class:`PiObserver` the shapes and entries of the matrices.
+    """
     if doc.get("verdict") != "feasible":
         raise InputError("report is infeasible; it carries no gains to rebuild")
     n, p = system.n, system.p
-    sysinfo = doc.get("system", {})
+    sysinfo = _object(doc, "system")
     if sysinfo.get("n") != n or sysinfo.get("p") != p:
         raise DimensionError(
             f"report was produced for a system with n={sysinfo.get('n')}, "
             f"p={sysinfo.get('p')}; this system has n={n}, p={p}"
         )
-    gains = doc.get("gains", {})
-    inter = doc.get("intermediates", {})
-    cfg = doc.get("config", {})
-    poles = doc.get("poles", {})
-    L = matrix_from_doc(gains, "L", rows=n, cols=p)
-    F = matrix_from_doc(gains, "F", rows=n, cols=p)
-    K = matrix_from_doc(inter, "K", rows=n, cols=p)
-    T = matrix_from_doc(inter, "T", rows=n, cols=n)
-    X = matrix_from_doc(inter, "X", rows=n, cols=p)
-    phi = matrix_from_doc(cfg, "phi", rows=p, cols=p)
-    lam_doc = cfg.get("lambda", [])
-    lam = (
-        matrix_from_doc(cfg, "lambda", rows=n - p, cols=p)
-        if lam_doc else np.zeros((n - p, p))
-    )
-    assigned = tuple(
-        complex_from_doc(item, "poles.assigned") for item in poles.get("assigned", [])
-    )
-    inherited = tuple(
-        complex_from_doc(item, "poles.inherited") for item in poles.get("inherited", [])
-    )
+    gains, inter, cfg, poles = (
+        _object(doc, key) for key in ("gains", "intermediates", "config", "poles"))
+    lam = matrix_from_doc(cfg, "lambda") if cfg.get("lambda", []) else np.zeros((n - p, p))
+    assigned, inherited = (_poles_from_doc(poles, key) for key in ("assigned", "inherited"))
     config = DesignConfig(
         target_poles=assigned or None,
-        phi=phi,
+        phi=matrix_from_doc(cfg, "phi"),
         lambda_block=lam,
-        margin=float(cfg.get("margin", DEFAULT_MARGIN)),
-        tol_rank=float(cfg.get("tol_rank", linalg.DEFAULT_TOL_RANK)),
-        tol_eig=float(cfg.get("tol_eig", linalg.DEFAULT_TOL_EIG)),
-        seed=int(cfg.get("seed", 0)),
+        margin=cfg.get("margin", DEFAULT_MARGIN),
+        tol_rank=cfg.get("tol_rank", linalg.DEFAULT_TOL_RANK),
+        tol_eig=cfg.get("tol_eig", linalg.DEFAULT_TOL_EIG),
+        seed=cfg.get("seed", 0),
     )
+    L, F = (matrix_from_doc(gains, key) for key in ("L", "F"))
+    K, T, X = (matrix_from_doc(inter, key) for key in ("K", "T", "X"))
     return PiObserver(
-        system=system, L=L, F=F, K=K, T=T, X=X, phi=phi, lambda_block=lam,
+        system=system, L=L, F=F, K=K, T=T, X=X, phi=config.phi, lambda_block=lam,
         assigned_poles=assigned, inherited_poles=inherited, config=config,
     )
 

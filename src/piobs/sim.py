@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, linalg
-from .design import augmented_matrix
-from .errors import DimensionError, InputError, SimulationDivergenceError
+from .errors import InputError, SimulationDivergenceError
 
 #: Simulations abort (with a diagnostic) once any state norm passes this.
 OVERFLOW_LIMIT = 1e12
@@ -66,8 +65,7 @@ class RandomInput:
     def __post_init__(self):
         if not np.isfinite(self.amplitude) or self.amplitude < 0:
             raise InputError(f"amplitude must be a nonnegative number, got {self.amplitude}")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        linalg.check_seed(self.seed)
 
 
 def build_input(signal, horizon, m):
@@ -139,16 +137,6 @@ class SimulationTrace:
         return self.xhat - self.x
 
 
-def _check_observer_dims(system, observer):
-    n, p = system.n, system.p
-    for name in ("L", "F"):
-        M = getattr(observer, name)
-        if M.shape != (n, p):
-            raise DimensionError(
-                f"observer gain {name} has shape {M.shape}, expected ({n}, {p})"
-            )
-
-
 def step_plant(system, x, u):
     """One plant step: returns (x_next, y)."""
     x = linalg.as_vector(x, system.n, "x")
@@ -158,7 +146,6 @@ def step_plant(system, x, u):
 
 def step_observer(system, observer, xhat, v, y, u):
     """One observer step: returns (xhat_next, v_next)."""
-    _check_observer_dims(system, observer)
     xhat = linalg.as_vector(xhat, system.n, "xhat")
     v = linalg.as_vector(v, system.p, "v")
     y = linalg.as_vector(y, system.p, "y")
@@ -202,7 +189,6 @@ def run_simulation(system, observer, config=None):
     system itself stays bounded for a valid observer even when the plant diverges.
     """
     config = config or SimulationConfig()
-    _check_observer_dims(system, observer)
     n, p, m = system.n, system.p, system.m
     x0 = np.ones(n) if config.x0 is None else linalg.as_vector(config.x0, n, "x0")
     xhat0 = np.zeros(n) if config.xhat0 is None else linalg.as_vector(config.xhat0, n, "xhat0")
@@ -249,7 +235,7 @@ def error_dynamics_check(trace, observer):
     rows = trace.x.shape[0]
     if rows < 2:
         raise InputError("trace must contain at least two steps")
-    aug = augmented_matrix(observer.system, observer.L, observer.F)
+    aug = observer.augmented()
     worst = []
     for start in range(0, rows - 1, _CHECK_BLOCK_ROWS - 1):
         stop = start + _CHECK_BLOCK_ROWS

@@ -36,6 +36,16 @@ def design_worked(tmp_path, worked_file, *extra):
     return out
 
 
+def tampered_report(tmp_path, worked_file, edit):
+    """The worked design's report file after ``edit(doc)`` changed its document."""
+    out = design_worked(tmp_path, worked_file)
+    doc = json.loads(open(out).read())
+    edit(doc)
+    with open(out, "w") as fh:
+        fh.write(json.dumps(doc))
+    return out
+
+
 #: Stability margins outside [0, 1): negative, non-finite, and at or above 1.
 BAD_MARGINS = ["-0.5", "nan", "inf", "1", "1.5"]
 #: Rank tolerances outside (0, 1) that pass a positivity test; each makes every rank 0.
@@ -134,6 +144,12 @@ class TestDesign:
         err = capsys.readouterr().err
         assert "piobs: error:" in err and "tol_rank must be in (0, 1)" in err
         assert "full row rank" not in err
+        assert not out.exists()
+
+    def test_nan_pole_is_refused_by_the_magnitude_rule(self, tmp_path, worked_file, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["design", worked_file, "--pole", "nan", "--out", str(out)]) == 3
+        assert "target poles must have magnitude below" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol_eig", ["nan", "inf", "-1e-8"])
@@ -281,6 +297,41 @@ class TestVerify:
         assert cli.main(["verify", undetectable_file, out]) == 3
 
 
+class TestMalformedReports:
+    # cli.main returns an exit code only for typed errors; any other exception
+    # propagates out of it, so exit 3 here also means no traceback.
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("key, value", [
+        ("margin", "abc"), ("seed", "x"), ("seed", 1.5), ("tol_eig", [1]), ("tol_rank", None),
+    ])
+    def test_bad_config_value_exits_3(self, tmp_path, worked_file, capsys, command, key, value):
+        report = tampered_report(tmp_path, worked_file,
+                                 lambda doc: doc["config"].update({key: value}))
+        out = tmp_path / "out"
+        assert cli.main([command, worked_file, report, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"piobs: error: {key} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_system_header_that_is_not_an_object_exits_3(self, tmp_path, worked_file, capsys,
+                                                         command):
+        report = tampered_report(tmp_path, worked_file, lambda doc: doc.update(system="abc"))
+        assert cli.main([command, worked_file, report]) == 3
+        assert ("piobs: error: report field 'system' must be an object, got str"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_pole_list_that_is_not_an_array_exits_3(self, tmp_path, worked_file, capsys,
+                                                    command):
+        report = tampered_report(tmp_path, worked_file,
+                                 lambda doc: doc.update(poles={"assigned": 5}))
+        assert cli.main([command, worked_file, report]) == 3
+        assert ("piobs: error: poles.assigned: expected an array of pairs, got int"
+                in capsys.readouterr().err)
+
+
 class TestSimulate:
     def test_trace_decays_below_tolerance(self, tmp_path, worked_file, capsys):
         report = design_worked(tmp_path, worked_file)
@@ -401,6 +452,17 @@ class TestBatch:
         captured = capsys.readouterr()
         assert captured.err.count("seed must be nonnegative") == 1
         assert "[3]" not in captured.out
+        assert not out_dir.exists()
+
+    def test_bad_tol_rank_is_refused_once_before_any_design(self, tmp_path, worked_file,
+                                                            undetectable_file, capsys):
+        # the rule DesignConfig applies is the one numerical_rank applies per file
+        out_dir = tmp_path / "r"
+        assert cli.main(["batch", worked_file, undetectable_file, "--tol-rank", "nan",
+                         "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "piobs: error: tol_rank must be in (0, 1), got nan\n"
+        assert captured.out == ""
         assert not out_dir.exists()
 
     def test_bad_flag_is_refused_once_before_any_design(self, tmp_path, worked_file,

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from piobs.design import (
     default_target_poles,
     stabilization_plan,
 )
-from piobs.errors import DimensionError, InputError, NumericalError, SingularMatrixError
+from piobs.errors import (
+    DimensionError,
+    InputError,
+    NumericalError,
+    RankDeficiencyError,
+    SingularMatrixError,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 BENCH_PLANTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plants.py"
@@ -238,6 +245,12 @@ class TestStabilizingGain:
             system = gen.random_detectable_system(rng)
             K = stabilization_plan(system.A, system.C).K
             assert analysis.is_schur_stable(system.A + K @ system.C, margin=1e-6)
+
+    @pytest.mark.parametrize("check", [stabilization_plan, analysis.is_detectable,
+                                       analysis.classify_eigenvalues])
+    def test_zero_output_matrix_is_a_typed_error(self, check):
+        with pytest.raises(RankDeficiencyError, match="C must be nonzero"):
+            check(np.diag([0.5, 0.2]), np.zeros((1, 2)))
 
 
 class TestRiccatiGain:
@@ -565,6 +578,27 @@ class TestDesignConfigValidation:
         with pytest.raises(InputError):
             cfg.resolved_target_poles(1)
 
+    @pytest.mark.parametrize("poles", [(float("nan"),), (0.1, float("nan"))])
+    def test_nan_target_is_refused_by_the_magnitude_rule(self, poles):
+        # max() skips a NaN that is not first, and NaN >= bound is False
+        cfg = DesignConfig(target_poles=poles)
+        with pytest.raises(InputError, match="got magnitude nan"):
+            cfg.resolved_target_poles(len(poles))
+
+    @pytest.mark.parametrize("name, value", [
+        ("margin", "abc"), ("margin", None), ("tol_rank", None), ("tol_rank", float("nan")),
+        ("tol_rank", "1e-9"), ("tol_eig", [1]), ("tol_eig", True), ("seed", "x"),
+        ("seed", 1.5), ("seed", 1.0),
+    ])
+    def test_setting_of_wrong_type_or_range_is_refused_when_built(self, name, value):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            DesignConfig(**{name: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        cfg = DesignConfig(margin=np.float64(0.1), tol_rank=np.float64(1e-9),
+                           tol_eig=np.float32(1e-8), seed=np.int64(3))
+        assert cfg.seed == 3
+
     def test_open_conjugate_targets_rejected(self):
         cfg = DesignConfig(target_poles=(0.1 + 0.1j, 0.3))
         with pytest.raises(InputError):
@@ -587,6 +621,24 @@ class TestDesignConfigValidation:
         cfg = DesignConfig(target_poles=(0.1, 0.2))
         with pytest.raises(InputError, match="expected 3"):
             cfg.resolved_target_poles(3)
+
+
+class TestObserverMatrixChecks:
+    @pytest.mark.parametrize("name, value, error", [
+        ("K", np.zeros((2, 1)), DimensionError),
+        ("X", np.zeros((1, 2)), DimensionError),
+        ("T", np.array([[np.nan]]), InputError),
+        ("lambda_block", np.zeros((1, 1)), DimensionError),
+    ])
+    def test_bad_matrix_is_refused_when_the_observer_is_built(self, worked_observer, name,
+                                                               value, error):
+        with pytest.raises(error, match=f"^observer {name} "):
+            replace(worked_observer, **{name: value})
+
+    def test_matrices_are_stored_as_float_arrays(self, worked_observer):
+        rebuilt = replace(worked_observer, L=worked_observer.L.tolist(), phi=[[0.3]])
+        assert rebuilt.L.dtype == float and rebuilt.L.shape == (1, 1)
+        assert verify_design(rebuilt) == verify_design(worked_observer)
 
 
 class TestVerifyDesign:

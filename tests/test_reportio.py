@@ -61,7 +61,8 @@ class TestSystemFiles:
     def test_round_trip(self, tmp_path, rng):
         system = gen.random_detectable_system(rng, n=4, p=2, m=3)
         path = tmp_path / "sys.json"
-        reportio.write_doc(reportio.system_to_doc(system), path)
+        doc = {"A": system.A.tolist(), "B": system.B.tolist(), "C": system.C.tolist()}
+        reportio.write_doc(doc, path)
         back = reportio.load_system(path)
         assert np.array_equal(back.A, system.A)
         assert np.array_equal(back.B, system.B)

@@ -94,6 +94,12 @@ class TestInputSignals:
             with pytest.raises(InputError):
                 SimulationConfig(convergence_tol=tol)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+    def test_random_input_seed_must_be_a_nonnegative_integer(self, seed):
+        # the rule DesignConfig applies; 1.5 and "x" reached numpy's TypeError
+        with pytest.raises(InputError, match="seed must be nonnegative and an integer"):
+            RandomInput(seed=seed)
+
 
 class TestRunSimulation:
     def test_matched_initial_conditions_stay_exactly_at_zero(

@@ -13,7 +13,8 @@ benchmark (``perfbench/plants.py``, imported, never edited), each designed at
 ``design`` or ``infeasible`` with the sha256 of the report ``piobs design``
 writes, ``refused`` for a typed ``NumericalError`` or ``error`` for any
 other exception, each with the error text. Run it on two checkouts and
-``--diff`` lists every plant whose line changed and counts the outcome moves.
+``--diff`` lists every plant whose line changed and counts the outcome moves;
+it exits 1 when any plant's line changed and 0 otherwise.
 ``--summary`` prints, per state size n instead, the refused/feasible count and
 how many designs report a pole split (assigned + inherited poles) that
 eig(A + KC) misses by more than 1e-6 in pairing distance.
@@ -79,6 +80,7 @@ def digest(seeds, summary=False):
 
 
 def diff(old_path, new_path):
+    """Print the changed plants and the outcome counts; True when any line changed."""
     def read(path):
         with open(path) as f:
             rows = [line.rstrip("\n").split(" ", 4) for line in f]
@@ -95,6 +97,7 @@ def diff(old_path, new_path):
         print(name, dict(sorted(collections.Counter(k for k, _ in rows.values()).items())))
     for (a, b), count in sorted(moves.items()):
         print(f"{a} -> {b}: {count}")
+    return bool(moves)
 
 
 if __name__ == "__main__":
@@ -105,7 +108,7 @@ if __name__ == "__main__":
                         help="per-n refusals and misreported pole splits instead of per-plant lines")
     args = parser.parse_args()
     if args.diff:
-        diff(*args.diff)
+        sys.exit(1 if diff(*args.diff) else 0)
     else:
         first, _, last = args.seeds.partition("-")
         digest(range(int(first), int(last or first) + 1), args.summary)
