@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, linalg
+from .design import augmented_matrix
 from .errors import InputError, SimulationDivergenceError
 
 #: Simulations abort (with a diagnostic) once any state norm passes this.
@@ -235,7 +236,7 @@ def error_dynamics_check(trace, observer):
     rows = trace.x.shape[0]
     if rows < 2:
         raise InputError("trace must contain at least two steps")
-    aug = observer.augmented()
+    aug = augmented_matrix(observer.system, observer.L, observer.F)
     worst = []
     for start in range(0, rows - 1, _CHECK_BLOCK_ROWS - 1):
         stop = start + _CHECK_BLOCK_ROWS
