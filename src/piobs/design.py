@@ -461,11 +461,13 @@ def coupling_matrix(T, phi, lambda_block=None):
 
 
 def augmented_matrix(system, L, F):
-    """Joint error/integrator transition matrix [[A - LC, F], [-C, I]]."""
+    """Joint error/integrator transition matrix [[A - LC, F], [-C, I]].
+
+    ``L`` and ``F`` are taken as they are: pass the n x p arrays of a
+    :class:`PiObserver`, whose constructor checks them.
+    """
     A, C = system.A, system.C
-    n, p = system.n, system.p
-    L, F = (linalg.as_shaped(M, (n, p), name) for M, name in ((L, "L"), (F, "F")))
-    return np.block([[A - L @ C, F], [-C, np.eye(p)]])
+    return np.block([[A - L @ C, F], [-C, np.eye(system.p)]])
 
 
 @dataclass(frozen=True)

@@ -49,16 +49,21 @@ def check_seed(seed):
         raise InputError(f"seed must be nonnegative and an integer, got {seed}")
 
 
+def _as_float(M, name):
+    """``M`` as a float64 array; :class:`InputError` for non-numeric or ragged entries."""
+    try:
+        return np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name}: entries are not numeric: {exc}") from exc
+
+
 def as_matrix(M, name="matrix"):
     """Validate and return ``M`` as a finite 2-D float64 array.
 
     Scalars are promoted to 1x1. Anything else that is not 2-D, or that
     contains NaN/Inf, is rejected.
     """
-    try:
-        arr = np.asarray(M, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: entries are not numeric: {exc}") from exc
+    arr = _as_float(M, name)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2:
@@ -84,7 +89,7 @@ def as_shaped(M, shape, name):
     Unlike :func:`as_matrix`, nothing is promoted and an empty shape such as
     (0, p) is allowed.
     """
-    arr = np.asarray(M, dtype=float)
+    arr = _as_float(M, name)
     if arr.shape != shape:
         raise DimensionError(f"{name} must be {'x'.join(map(str, shape))}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -94,10 +99,7 @@ def as_shaped(M, shape, name):
 
 def as_vector(x, size, name="vector"):
     """Validate ``x`` as a finite 1-D float64 array of length ``size``."""
-    try:
-        arr = np.asarray(x, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: entries are not numeric: {exc}") from exc
+    arr = _as_float(x, name).reshape(-1)
     if arr.shape[0] != size:
         raise DimensionError(f"{name}: expected length {size}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):

@@ -154,7 +154,9 @@ def load_system(path, tol_rank=linalg.DEFAULT_TOL_RANK):
     if name and not isinstance(name, str):
         raise InputError(f"{path}: 'name' must be a string")
     try:
-        A, B, C = (matrix_from_doc(doc, key) for key in "ABC")
+        A = matrix_from_doc(doc, "A")
+        B = matrix_from_doc(doc, "B")
+        C = matrix_from_doc(doc, "C")
         return SystemRealization(A=A, B=B, C=C, name=name, tol_rank=tol_rank)
     except InputError as exc:
         # keep the subclass (dimension / rank deficiency) while adding the path
@@ -280,10 +282,13 @@ def observer_from_report(system, doc):
             f"report was produced for a system with n={sysinfo.get('n')}, "
             f"p={sysinfo.get('p')}; this system has n={n}, p={p}"
         )
-    gains, inter, cfg, poles = (
-        _object(doc, key) for key in ("gains", "intermediates", "config", "poles"))
+    gains = _object(doc, "gains")
+    inter = _object(doc, "intermediates")
+    cfg = _object(doc, "config")
+    poles = _object(doc, "poles")
     lam = matrix_from_doc(cfg, "lambda") if cfg.get("lambda", []) else np.zeros((n - p, p))
-    assigned, inherited = (_poles_from_doc(poles, key) for key in ("assigned", "inherited"))
+    assigned = _poles_from_doc(poles, "assigned")
+    inherited = _poles_from_doc(poles, "inherited")
     config = DesignConfig(
         target_poles=assigned or None,
         phi=matrix_from_doc(cfg, "phi"),
@@ -293,10 +298,15 @@ def observer_from_report(system, doc):
         tol_eig=cfg.get("tol_eig", linalg.DEFAULT_TOL_EIG),
         seed=cfg.get("seed", 0),
     )
-    L, F = (matrix_from_doc(gains, key) for key in ("L", "F"))
-    K, T, X = (matrix_from_doc(inter, key) for key in ("K", "T", "X"))
     return PiObserver(
-        system=system, L=L, F=F, K=K, T=T, X=X, phi=config.phi, lambda_block=lam,
+        system=system,
+        L=matrix_from_doc(gains, "L"),
+        F=matrix_from_doc(gains, "F"),
+        K=matrix_from_doc(inter, "K"),
+        T=matrix_from_doc(inter, "T"),
+        X=matrix_from_doc(inter, "X"),
+        phi=config.phi,
+        lambda_block=lam,
         assigned_poles=assigned, inherited_poles=inherited, config=config,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels, linalg
 from .design import augmented_matrix
-from .errors import InputError, SimulationDivergenceError
+from .errors import DimensionError, InputError, SimulationDivergenceError
 
 #: Simulations abort (with a diagnostic) once any state norm passes this.
 OVERFLOW_LIMIT = 1e12
@@ -138,6 +138,18 @@ class SimulationTrace:
         return self.xhat - self.x
 
 
+def _check_plant_size(system, observer):
+    """Raise :class:`DimensionError` unless ``observer`` was built for ``system``'s n and p.
+
+    :class:`PiObserver` pins ``L`` and ``F`` to its own plant, so comparing
+    the two plants' sizes checks the gains' shapes against ``system``.
+    """
+    built = (observer.system.n, observer.system.p)
+    given = (system.n, system.p)
+    if built != given:
+        raise DimensionError(f"observer was built for (n, p) = {built}, the system has {given}")
+
+
 def step_plant(system, x, u):
     """One plant step: returns (x_next, y)."""
     x = linalg.as_vector(x, system.n, "x")
@@ -147,6 +159,7 @@ def step_plant(system, x, u):
 
 def step_observer(system, observer, xhat, v, y, u):
     """One observer step: returns (xhat_next, v_next)."""
+    _check_plant_size(system, observer)
     xhat = linalg.as_vector(xhat, system.n, "xhat")
     v = linalg.as_vector(v, system.p, "v")
     y = linalg.as_vector(y, system.p, "y")
@@ -190,6 +203,7 @@ def run_simulation(system, observer, config=None):
     system itself stays bounded for a valid observer even when the plant diverges.
     """
     config = config or SimulationConfig()
+    _check_plant_size(system, observer)
     n, p, m = system.n, system.p, system.m
     x0 = np.ones(n) if config.x0 is None else linalg.as_vector(config.x0, n, "x0")
     xhat0 = np.zeros(n) if config.xhat0 is None else linalg.as_vector(config.xhat0, n, "xhat0")

@@ -489,16 +489,22 @@ class TestDesignPipeline:
         # Smoke probe of necessity: for a hidden unstable mode, no (L, F)
         # sample makes the augmented matrix Schur stable.
         import gen_systems as gen
-        from piobs import augmented_matrix
+        from piobs import PiObserver
 
         for _ in range(3):
             system, _bad = gen.random_nondetectable_system(rng)
             n, p = system.n, system.p
+            zeros = np.zeros((n, p))
+            unchecked = PiObserver(
+                system=system, L=zeros, F=zeros, K=zeros, T=np.eye(n), X=zeros,
+                phi=np.eye(p), lambda_block=np.zeros((n - p, p)),
+                assigned_poles=(), inherited_poles=(),
+            )
             for scale in (0.1, 1.0, 10.0):
                 for _ in range(67):
                     L = scale * rng.standard_normal((n, p))
                     F = scale * rng.standard_normal((n, p))
-                    aug = augmented_matrix(system, L, F)
+                    aug = replace(unchecked, L=L, F=F).augmented()
                     assert not analysis.is_schur_stable(aug)
 
     def test_augmented_spectrum_splits_into_targets_hidden_and_phi(self, rng):
@@ -634,6 +640,10 @@ class TestObserverMatrixChecks:
                                                                value, error):
         with pytest.raises(error, match=f"^observer {name} "):
             replace(worked_observer, **{name: value})
+
+    def test_non_numeric_entry_is_an_input_error(self, worked_observer):
+        with pytest.raises(InputError, match="^observer L: entries are not numeric"):
+            replace(worked_observer, L=[["a"]])
 
     def test_matrices_are_stored_as_float_arrays(self, worked_observer):
         rebuilt = replace(worked_observer, L=worked_observer.L.tolist(), phi=[[0.3]])

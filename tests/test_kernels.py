@@ -93,7 +93,7 @@ class TestBlockedOverflowCheck:
     def test_kernel_abort_step_is_exact(self, abort_step):
         system = SystemRealization(A=[[2.0]], B=[[1.0]], C=[[1.0]])
         zero_gain = np.zeros((1, 1))
-        observer = SimpleNamespace(L=zero_gain, F=zero_gain)
+        observer = SimpleNamespace(system=system, L=zero_gain, F=zero_gain)
         U = np.zeros((self.HORIZON, 1))
         limit = 2.0 ** (abort_step - 1)
         X, Xh, V, abort = _kernels.simulate(system.A, system.B, system.C, zero_gain,

@@ -19,8 +19,7 @@ from piobs import (
     step_observer,
     step_plant,
 )
-from piobs.design import augmented_matrix
-from piobs.errors import InputError
+from piobs.errors import DimensionError, InputError
 from piobs.sim import _median, build_input, error_dynamics_check, fit_decay_rate
 
 
@@ -70,6 +69,12 @@ class TestSteps:
         assert xhat_next == pytest.approx([-0.22])
         assert v_next == pytest.approx([-0.5])
 
+    def test_observer_of_another_plant_size_is_refused(self, worked_observer):
+        # A 1x1 L would broadcast against a 2-state plant and give a wrong 2-vector.
+        system = SystemRealization(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=[[1.0, 0.0]])
+        with pytest.raises(DimensionError, match=r"built for \(n, p\) = \(1, 1\)"):
+            step_observer(system, worked_observer, [0.0, 0.0], [0.0], [0.0], [0.0])
+
 
 class TestInputSignals:
     def test_shapes_and_values(self):
@@ -102,6 +107,11 @@ class TestInputSignals:
 
 
 class TestRunSimulation:
+    def test_observer_of_another_plant_size_is_refused(self, worked_observer):
+        system = SystemRealization(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=[[1.0, 0.0]])
+        with pytest.raises(DimensionError, match=r"the system has \(2, 1\)"):
+            run_simulation(system, worked_observer, SimulationConfig(horizon=5))
+
     def test_matched_initial_conditions_stay_exactly_at_zero(
         self, worked_system, worked_observer
     ):
@@ -252,7 +262,7 @@ class TestErrorDynamics:
             system, observer,
             SimulationConfig(horizon=horizon, input_signal=RandomInput(seed=3)),
         )
-        aug = augmented_matrix(system, observer.L, observer.F)
+        aug = observer.augmented()
         ev = np.hstack([trace.e, trace.v])
         whole = float(np.abs(ev[1:] - ev[:-1] @ aug.T).max())
         assert error_dynamics_check(trace, observer) == whole
