@@ -1,10 +1,9 @@
 """Structural analysis of a pair (A, C).
 
 Schur stability, PBH observability of individual eigenvalues, detectability,
-full observability, and the observability (Kalman) decomposition that splits
-the state space into an observable block and an unobservable block.
-Every factorization here (eigenvalues, singular values, the decomposition
-basis) is numpy's.
+full observability, and the observability (Kalman) decomposition whose
+dimension q and basis come from one orthogonal staircase. Every
+factorization here (eigenvalues, singular values) is numpy's.
 """
 
 from dataclasses import dataclass
@@ -18,6 +17,9 @@ from .errors import DimensionError, InputError, NumericalError, RankDeficiencyEr
 BOUNDARY_TOL = 1e-9
 #: Eigenvalues closer than this are treated as one value for PBH purposes.
 CLUSTER_TOL = 1e-7
+#: Staircase cut over tol_rank * max(1, ||A||_2, ||C||_2). On the benchmark
+#: plants the dropped values reach 3.5 and the kept ones stay above 3.9e4.
+STAIRCASE_SCALE = 10.0
 
 
 @dataclass(frozen=True)
@@ -211,15 +213,42 @@ def observability_matrix(A, C):
     return np.vstack(blocks)
 
 
+def observability_staircase(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
+    """q and an orthogonal T_k from the observability staircase (Van Dooren 1981).
+
+    The controllability staircase of (A^T, C^T): SVDs split off the directions
+    that C, then the coupling to the block split off last, sees, until none
+    exceeds ``STAIRCASE_SCALE * tol_rank * max(1, ||A||_2, ||C||_2)``. The
+    (1, 2) block of T_k^T A T_k and C T_k[:, q:] are what fell below that cut.
+    """
+    A, C = check_pair(A, C)
+    linalg.check_tol_rank(tol_rank)
+    n = A.shape[0]
+    cut = STAIRCASE_SCALE * tol_rank * max(1.0, np.linalg.norm(A, 2), np.linalg.norm(C, 2))
+    T_k, At = np.eye(n), A.copy()
+    q, coupling = 0, C
+    while q < n:
+        _, s, Vt = np.linalg.svd(coupling)
+        k = int(np.count_nonzero(s > cut))
+        if k == 0:
+            break
+        T_k[:, q:] = T_k[:, q:] @ Vt.T
+        At[:, q:] = At[:, q:] @ Vt.T
+        At[q:, :] = Vt @ At[q:, :]
+        coupling = At[q:q + k, q + k:]
+        q += k
+    return q, T_k
+
+
 def observable_dimension(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """Dimension q of the observable subspace (rank of the observability stack)."""
-    return linalg.numerical_rank(observability_matrix(A, C), tol_rank)
+    """Dimension q of the observable subspace, from :func:`observability_staircase`."""
+    return observability_staircase(A, C, tol_rank)[0]
 
 
 def observability_verdict(classifications, q):
-    """Full observability from :func:`classify_eigenvalues` output and stack rank q.
+    """Full observability from :func:`classify_eigenvalues` output and the staircase's q.
 
-    A disagreement between the PBH test and the stack rank means the pair is
+    A disagreement between the PBH test and q means the pair is
     numerically borderline and is reported as an error rather than silently
     resolved. :func:`is_observable` applies it to every pair, a design only
     where q = n (placement would move a mode PBH calls unobservable).
@@ -228,51 +257,31 @@ def observability_verdict(classifications, q):
     if pbh_verdict != (q == len(classifications)):
         raise NumericalError(
             "observability is numerically ambiguous: the PBH test and the "
-            "observability-stack rank disagree at the current tolerance"
+            "observability staircase disagree at the current tolerance"
         )
     return pbh_verdict
 
 
 def is_observable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """Full observability of (A, C): PBH and stack-rank tests that must agree."""
+    """Full observability of (A, C): PBH and the staircase's q, which must agree."""
     cls = classify_eigenvalues(A, C, tol_rank)
     return observability_verdict(cls, observable_dimension(A, C, tol_rank))
 
 
 def kalman_decompose(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """Observability decomposition of (A, C) via the SVD of the observability stack.
+    """Observability decomposition of (A, C) on the basis of its staircase.
 
-    The observable coordinates span the row space of the stack and the
-    unobservable coordinates its null space. q is the stack's
-    :func:`linalg.numerical_rank`, from the same singular values the rank
-    tests use; only an unobservable pair then takes numpy's thin SVD for
-    the basis, whose column signs are fixed so it is deterministic.
-    Observable pairs get the trivial decomposition q = n, T_k = I.
+    q and T_k come from one :func:`observability_staircase`. Observable
+    pairs get the trivial decomposition q = n, T_k = I.
     """
     A, C = check_pair(A, C)
     n = A.shape[0]
-    obs = observability_matrix(A, C)
-    q = linalg.numerical_rank(obs, tol_rank)
+    q, T_k = observability_staircase(A, C, tol_rank)
     if q == 0:
         raise NumericalError("observable subspace is empty; C is numerically zero")
     if q == n:
-        return KalmanDecomposition(
-            T_k=np.eye(n),
-            A11=A.copy(),
-            A21=np.zeros((0, n)),
-            A22=np.zeros((0, 0)),
-            C1=C.copy(),
-            q=n,
-        )
-    # The thin SVD: obs has at least n rows, so Vt is still n x n.
-    V = np.linalg.svd(obs, full_matrices=False)[2].T
-    # Fix column signs (largest entry positive) so the basis is deterministic.
-    for j in range(n):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0:
-            V[:, j] = -V[:, j]
-    T_k = V
-    Vo, Vn = V[:, :q], V[:, q:]
+        T_k = np.eye(n)
+    Vo, Vn = T_k[:, :q], T_k[:, q:]
     return KalmanDecomposition(
         T_k=T_k,
         A11=Vo.T @ A @ Vo,

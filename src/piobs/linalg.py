@@ -43,10 +43,10 @@ def check_tol_rank(tol_rank):
         raise InputError(f"tol_rank must be in (0, 1), got {tol_rank}")
 
 
-def check_seed(seed):
+def check_seed(seed, name="seed"):
     """Raise :class:`InputError` unless ``seed`` is a nonnegative integer (not a bool)."""
     if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
-        raise InputError(f"seed must be nonnegative and an integer, got {seed}")
+        raise InputError(f"{name} must be nonnegative and an integer, got {seed}")
 
 
 def _as_float(M, name):

@@ -52,8 +52,7 @@ class StepInput:
 
     def __post_init__(self):
         object.__setattr__(self, "value", tuple(float(v) for v in np.atleast_1d(self.value)))
-        if self.onset < 0:
-            raise InputError(f"step onset must be nonnegative, got {self.onset}")
+        linalg.check_seed(self.onset, "step onset")
 
 
 @dataclass(frozen=True)

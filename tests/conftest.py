@@ -1,7 +1,22 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 from piobs import DesignConfig, SystemRealization, design_pi_observer
+
+
+BENCH_PLANTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plants.py"
+
+
+@pytest.fixture(scope="session")
+def bench_plants():
+    """The benchmark's seeded plant generator, imported read-only."""
+    spec = importlib.util.spec_from_file_location("bench_plants", BENCH_PLANTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

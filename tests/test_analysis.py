@@ -137,6 +137,42 @@ class TestObservability:
             analysis.is_observable(np.diag([3.0, 3.0 + 1e-8]), [[1.0, 1.0]])
 
 
+class TestObservabilityStaircase:
+    def test_q_is_the_stack_rank_on_well_conditioned_pairs(self, rng):
+        for _ in range(60):
+            system = gen.random_detectable_system(rng)
+            A, C = system.A, system.C
+            stack_rank = linalg.numerical_rank(analysis.observability_matrix(A, C))
+            assert analysis.observable_dimension(A, C) == stack_rank
+
+    def test_q_is_the_constructed_q_of_the_benchmark_plants(self, bench_plants):
+        # Feasible plants only: undetectable p = 1 plants at n >= 32 are
+        # outside the staircase's reach (see ROADMAP item 4).
+        checked = 0
+        for seed in (1, 2):
+            main, batch = bench_plants.cli_plants(seed)
+            for index in (0, 1):
+                for plant in bench_plants.sweep_population(seed, index) + [main] + batch:
+                    if plant.feasible:
+                        assert analysis.observable_dimension(plant.A, plant.C) == plant.q, plant.name
+                        checked += 1
+        assert checked > 400
+
+    def test_dropped_blocks_stay_below_the_cut(self, bench_plants):
+        # T_k^T A T_k has a zero (1, 2) block and C T_k = [C1, 0], up to
+        # what the staircase dropped below its cut.
+        for plant in bench_plants.sweep_population(3, 0):
+            if plant.q == plant.n:
+                continue
+            A, C = plant.A, plant.C
+            q, T_k = analysis.observability_staircase(A, C)
+            cut = analysis.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
+                1.0, np.linalg.norm(A, 2), np.linalg.norm(C, 2))
+            assert np.abs(T_k.T @ T_k - np.eye(plant.n)).max() <= 1e-13
+            assert np.linalg.norm(T_k[:, :q].T @ A @ T_k[:, q:], 2) <= cut
+            assert np.linalg.norm(C @ T_k[:, q:], 2) <= cut
+
+
 class TestKalmanDecomposition:
     def test_split_of_diagonal_pair(self):
         A, C = diag_pair([1.0, 0.0])
@@ -181,9 +217,13 @@ class TestKalmanDecomposition:
             )
             assert linalg.pairing_distance(full, split) < 1e-7
 
-    def test_basis_spans_scipy_full_svd_subspaces(self, rng):
-        # The basis comes from numpy's thin SVD; scipy's full SVD of the same
-        # stack is the oracle for the subspaces it must span.
+    def test_basis_spans_the_observability_stack_row_space(self, rng):
+        # The row space of the stack, from scipy's full SVD, is the oracle
+        # for the observable subspace the staircase basis must span. The two
+        # are independent factorizations of a subspace that can be ill
+        # determined: on one draw (n = 12, q = 11, the stack's
+        # sigma_1 / sigma_q = 3e13) each lies about 1e-9 from the subspace the
+        # plant was built on, and 3.4e-10 from the other.
         import scipy.linalg
 
         for _ in range(40):
@@ -195,7 +235,7 @@ class TestKalmanDecomposition:
             assert np.abs(dec.T_k.T @ dec.T_k - np.eye(n)).max() <= 1e-13
             Vt = scipy.linalg.svd(analysis.observability_matrix(A, C))[2]
             angles = scipy.linalg.subspace_angles(dec.T_k[:, :q], Vt[:q].T)
-            assert angles.max() <= 1e-10
+            assert angles.max() <= 1e-8
             assert np.abs(C @ dec.T_k[:, q:]).max() <= 1e-12 * np.abs(C).max()
 
     def test_classification_consistency(self, rng):

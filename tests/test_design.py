@@ -1,4 +1,3 @@
-import importlib.util
 import pathlib
 from dataclasses import replace
 
@@ -40,16 +39,6 @@ from piobs.errors import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
-BENCH_PLANTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plants.py"
-
-
-@pytest.fixture(scope="module")
-def bench_plants():
-    """The benchmark's seeded plant generator, imported read-only."""
-    spec = importlib.util.spec_from_file_location("bench_plants", BENCH_PLANTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestPlacePoles:
@@ -348,36 +337,39 @@ class TestDesignPipeline:
             design_pi_observer(system)
         assert err.value.witnesses == pytest.approx([2.0])
 
-    def test_stack_full_but_pbh_deficient_is_ambiguous(self):
-        # At tol_rank 3e-10 the stack of C = [1, 10] is full rank while the
-        # PBH matrix at the merged eigenvalue cluster {0.5, 0.5 + 1e-8} is not.
-        system = SystemRealization(
-            A=np.diag([0.5, 0.5 + 1e-8]), B=np.ones((2, 1)), C=[[1.0, 10.0]]
-        )
+    def test_pbh_deficient_cluster_designs_with_the_staircase_q(self):
+        # At tol_rank 3e-10 the PBH matrix at the merged eigenvalue cluster
+        # {0.5, 0.5 + 1e-8} is rank deficient, and the staircase agrees: the
+        # 1e-8 split couples below its cut, so q = 1 and the second mode is
+        # inherited. (The observability stack called this pair full rank.)
+        A, C = np.diag([0.5, 0.5 + 1e-8]), [[1.0, 10.0]]
+        config = DesignConfig(tol_rank=3e-10)
+        assert analysis.observable_dimension(A, C, config.tol_rank) == 1
+        obs = design_pi_observer(SystemRealization(A=A, B=np.ones((2, 1)), C=C), config)
+        assert obs.verification.passed
+        assert len(obs.assigned_poles) == len(obs.inherited_poles) == 1
+        assert abs(obs.inherited_poles[0] - 0.5) <= 1e-7
+        # A q = n that PBH contradicts is still refused.
+        classifications = analysis.classify_eigenvalues(A, C, config.tol_rank)
         with pytest.raises(NumericalError, match="numerically ambiguous"):
-            design_pi_observer(system, DesignConfig(tol_rank=3e-10))
+            analysis.observability_verdict(classifications, 2)
 
-    def test_misjudged_unobservable_block_is_a_numerical_error(self):
+    def test_merged_cluster_takes_the_staircase_q(self):
         # PBH merges the three eigenvalues into one cluster and calls it
-        # unobservable, the stack rank says q = 2, and placement on the
-        # 2-state block of that decomposition takes a gain of 5e7 that leaves
-        # eig(A + KC) far from the targets. Explicit poles are refused before
-        # any observer is built; default poles give way to the Riccati gain,
-        # whose split A + KC does have.
+        # unobservable; the staircase splits off the one direction C sees,
+        # q = 1. Two explicit targets are refused as the wrong count, and
+        # default poles design with two inherited poles that A + KC has.
         A, C = np.diag([0.7, 0.7 + 2e-9, 0.7 + 5e-9]), [[3.0, 2.0, 1.0]]
-        explicit = DesignConfig(target_poles=default_target_poles(2))
-        refusal = "pole placement missed the assigned and inherited poles on A \\+ KC"
-        with pytest.raises(NumericalError, match=refusal):
-            stabilization_plan(A, C, explicit).K
+        assert analysis.kalman_decompose(A, C).q == 1
+        for poles in (default_target_poles(2), (0.0, 0.0)):
+            with pytest.raises(InputError, match="expected 1 target pole"):
+                stabilization_plan(A, C, DesignConfig(target_poles=poles))
         system = SystemRealization(A=A, B=np.ones((3, 1)), C=C)
-        with pytest.raises(NumericalError, match=refusal):
-            design_pi_observer(system, explicit)
-        deadbeat = DesignConfig(target_poles=(0.0, 0.0))
-        with pytest.raises(NumericalError, match="did not stabilize A \\+ KC"):
-            stabilization_plan(A, C, deadbeat).K
-        plan = stabilization_plan(A, C)
-        closed = linalg.eigenvalues(A + plan.K @ C)
-        assert linalg.pairing_distance(closed, plan.assigned_poles + plan.inherited_poles) <= PLACEMENT_TOL
+        obs = design_pi_observer(system)
+        assert obs.verification.passed
+        assert len(obs.assigned_poles) == 1 and len(obs.inherited_poles) == 2
+        closed = linalg.eigenvalues(A + obs.K @ C)
+        assert linalg.pairing_distance(closed, obs.assigned_poles + obs.inherited_poles) <= PLACEMENT_TOL
 
     @pytest.mark.parametrize(
         "hidden, poles",
@@ -415,19 +407,21 @@ class TestDesignPipeline:
         cluster = closed[np.argsort(np.abs(closed - hidden[0, 0]))[:size]]
         assert abs(cluster.mean() - hidden[0, 0]) <= 1e-9
 
-    def test_stack_misjudged_q_is_refused(self):
+    def test_plant_the_stack_misjudged_designs(self):
         # An observable n = 24 plant of the benchmark population whose
-        # observability stack has rank 22. The closed loop on that
-        # decomposition keeps its blocks coupled, so the two inherited poles
-        # would not be poles of A + KC: the plan refuses instead of writing
-        # a wrong split.
+        # observability stack has rank 22. The staircase gives q = 24, so
+        # every pole is assigned and the reported split is the spectrum of
+        # A + KC.
         system = reportio.load_system(DATA / "misjudged24.system.json")
         assert (system.n, system.p) == (24, 1)
-        assert analysis.kalman_decompose(system.A, system.C).q == 22
-        with pytest.raises(NumericalError, match="decomposition is inconsistent"):
-            stabilization_plan(system.A, system.C).K
-        with pytest.raises(NumericalError, match="decomposition is inconsistent"):
-            design_pi_observer(system)
+        stack = analysis.observability_matrix(system.A, system.C)
+        assert linalg.numerical_rank(stack) == 22
+        assert analysis.kalman_decompose(system.A, system.C).q == 24
+        obs = design_pi_observer(system)
+        assert obs.verification.passed
+        assert len(obs.assigned_poles) == 24 and obs.inherited_poles == ()
+        closed = linalg.eigenvalues(system.A + obs.K @ system.C)
+        assert linalg.pairing_distance(closed, obs.assigned_poles) <= 1e-6
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(3, 6), st.integers(1, 2), st.integers(0, 2),
@@ -458,21 +452,19 @@ class TestDesignPipeline:
         assert obs.verification.passed
 
     @pytest.mark.parametrize(
-        "A, C, pbh_calls, stack_builds",
+        "A, C, pbh_calls",
         [
             # observable, three distinct eigenvalues: one PBH rank per
-            # eigenvalue and one observability stack
-            (np.diag([0.5, 1.2, -0.3]), [[1.0, 1.0, 1.0]], 3, 1),
-            # detectable, unobservable: two PBH ranks and one stack for the
-            # full pair; the observable block (A11, C1) is not re-analysed
-            (np.diag([2.0, 0.3]), [[1.0, 0.0]], 2, 1),
+            # eigenvalue and one staircase
+            (np.diag([0.5, 1.2, -0.3]), [[1.0, 1.0, 1.0]], 3),
+            # detectable, unobservable: two PBH ranks and one staircase for
+            # the full pair; the observable block (A11, C1) is not re-analysed
+            (np.diag([2.0, 0.3]), [[1.0, 0.0]], 2),
         ],
         ids=["observable", "unobservable"],
     )
-    def test_structural_analysis_runs_once_per_pair(
-        self, monkeypatch, A, C, pbh_calls, stack_builds
-    ):
-        calls = {"pbh_rank_at": 0, "observability_matrix": 0}
+    def test_structural_analysis_runs_once_per_pair(self, monkeypatch, A, C, pbh_calls):
+        calls = {"pbh_rank_at": 0, "observability_staircase": 0, "observability_matrix": 0}
         for name in calls:
             original = getattr(analysis, name)
 
@@ -483,7 +475,8 @@ class TestDesignPipeline:
             monkeypatch.setattr(analysis, name, counted)
         system = SystemRealization(A=A, B=np.ones((A.shape[0], 1)), C=C)
         design_pi_observer(system)
-        assert calls == {"pbh_rank_at": pbh_calls, "observability_matrix": stack_builds}
+        assert calls == {"pbh_rank_at": pbh_calls, "observability_staircase": 1,
+                         "observability_matrix": 0}
 
     def test_no_random_gain_pair_stabilizes_an_undetectable_system(self, rng):
         # Smoke probe of necessity: for a hidden unstable mode, no (L, F)

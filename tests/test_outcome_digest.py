@@ -1,16 +1,20 @@
-"""``tools/outcome_digest.py --diff`` exits 1 when any plant's line changed, else 0."""
+"""``tools/outcome_digest.py``: ``--diff`` exits 1 when any plant's line changed,
+else 0, and ``--summary`` counts the q mismatches per n."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import piobs
+
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "outcome_digest.py"
 #: Digest lines: ``<seed> <population> <plant> <outcome> <detail>``.
 OLD = [
     "1 sweep0 sweep-n4-0 design 0f3a",
-    "1 sweep0 sweep-n24-1 refused NumericalError: observability decomposition is inconsistent",
+    "1 sweep0 sweep-n24-1 refused NumericalError: pole placement failed",
     "2 cli cli-main infeasible 9c1d",
 ]
 
@@ -38,3 +42,26 @@ def test_a_changed_plant_exits_1(tmp_path, new_lines, listed):
     result = run_diff(tmp_path, new_lines)
     assert result.returncode == 1, result.stderr
     assert listed in result.stdout
+
+
+def test_summary_counts_q_mismatches_per_n(monkeypatch, capsys):
+    # Seed 1 has q right on every feasible plant; an observable_dimension
+    # that is off by one at n = 64 must show in that row only.
+    spec = importlib.util.spec_from_file_location("outcome_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    original = piobs.observable_dimension
+
+    def off_at_64(A, C, *args):
+        return original(A, C, *args) + (len(A) == 64)
+
+    monkeypatch.setattr(piobs, "observable_dimension", off_at_64)
+    tool.digest([1], summary=True)
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[1:] == ["refused/feasible", "q_mismatch/feasible", "misreported/designs"]
+    columns = {int(row.split()[0]): row.split()[1:] for row in rows}
+    assert set(columns) >= {4, 16, 64}
+    for n, (refused, q_mismatch, _) in columns.items():
+        feasible = refused.split("/")[1]
+        assert q_mismatch == (f"{feasible}/{feasible}" if n == 64 else f"0/{feasible}")

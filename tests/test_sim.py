@@ -105,6 +105,16 @@ class TestInputSignals:
         with pytest.raises(InputError, match="seed must be nonnegative and an integer"):
             RandomInput(seed=seed)
 
+    @pytest.mark.parametrize("onset", [-1, 2.5, True])
+    def test_step_onset_must_be_a_nonnegative_integer(self, onset):
+        # 2.5 passed the old sign check and reached Python's TypeError in build_input
+        with pytest.raises(InputError, match="step onset must be nonnegative and an integer"):
+            StepInput(value=(1.0,), onset=onset)
+
+    def test_numpy_integer_onset_is_accepted(self):
+        step = build_input(StepInput(value=(1.0,), onset=np.int64(1)), 3, 1)
+        assert np.array_equal(step, [[0.0], [1.0], [1.0]])
+
 
 class TestRunSimulation:
     def test_observer_of_another_plant_size_is_refused(self, worked_observer):

@@ -15,9 +15,11 @@ writes, ``refused`` for a typed ``NumericalError`` or ``error`` for any
 other exception, each with the error text. Run it on two checkouts and
 ``--diff`` lists every plant whose line changed and counts the outcome moves;
 it exits 1 when any plant's line changed and 0 otherwise.
-``--summary`` prints, per state size n instead, the refused/feasible count and
-how many designs report a pole split (assigned + inherited poles) that
-eig(A + KC) misses by more than 1e-6 in pairing distance.
+``--summary`` prints, per state size n instead, the refused/feasible count,
+the feasible plants whose ``observable_dimension`` differs from the q they
+were built with, and how many designs report a pole split (assigned +
+inherited poles) that eig(A + KC) misses by more than 1e-6 in pairing
+distance.
 """
 
 import argparse
@@ -70,13 +72,16 @@ def digest(seeds, summary=False):
                     print(s, group, plant.name, kind, detail, flush=True)
                 row = rows[plant.n]
                 row["feasible"] += plant.feasible
+                if summary and plant.feasible:
+                    row["q_mismatch"] += piobs.observable_dimension(plant.A, plant.C) != plant.q
                 row[kind] += 1
                 row["misreported"] += split is not None and split > SPLIT_TOL
     if summary:
-        print(f"{'n':>3} {'refused/feasible':>16} misreported/designs")
+        print(f"{'n':>3} {'refused/feasible':>16} {'q_mismatch/feasible':>19} misreported/designs")
         for n, row in sorted(rows.items()):
             refused = f"{row['refused']}/{row['feasible']}"
-            print(f"{n:>3} {refused:>16} {row['misreported']:>11}/{row['design']}")
+            q_mismatch = f"{row['q_mismatch']}/{row['feasible']}"
+            print(f"{n:>3} {refused:>16} {q_mismatch:>19} {row['misreported']:>11}/{row['design']}")
 
 
 def diff(old_path, new_path):
@@ -105,7 +110,8 @@ if __name__ == "__main__":
     parser.add_argument("--seeds", default="1-10", help="first-last (default %(default)s)")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"))
     parser.add_argument("--summary", action="store_true",
-                        help="per-n refusals and misreported pole splits instead of per-plant lines")
+                        help="per-n refusals, q mismatches and misreported pole splits "
+                             "instead of per-plant lines")
     args = parser.parse_args()
     if args.diff:
         sys.exit(1 if diff(*args.diff) else 0)
