@@ -213,7 +213,7 @@ def observability_matrix(A, C):
     return np.vstack(blocks)
 
 
-def observability_staircase(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
+def observability_staircase(A, C, tol_rank):
     """q and an orthogonal T_k from the observability staircase (Van Dooren 1981).
 
     The controllability staircase of (A^T, C^T): SVDs split off the directions

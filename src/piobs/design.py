@@ -86,7 +86,7 @@ class DesignConfig:
         linalg.check_tol_rank(self.tol_rank)
         if not (linalg.is_real(self.tol_eig) and 0.0 <= self.tol_eig < np.inf):
             raise InputError(f"tol_eig must be finite and nonnegative, got {self.tol_eig}")
-        linalg.check_seed(self.seed)
+        linalg.check_seed(self.seed, "seed")
         if self.target_poles is not None:
             object.__setattr__(
                 self, "target_poles",

@@ -43,8 +43,8 @@ def check_tol_rank(tol_rank):
         raise InputError(f"tol_rank must be in (0, 1), got {tol_rank}")
 
 
-def check_seed(seed, name="seed"):
-    """Raise :class:`InputError` unless ``seed`` is a nonnegative integer (not a bool)."""
+def check_seed(seed, name):
+    """Raise :class:`InputError` naming ``name`` unless ``seed`` is an int >= 0, not a bool."""
     if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise InputError(f"{name} must be nonnegative and an integer, got {seed}")
 

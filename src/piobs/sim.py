@@ -65,7 +65,7 @@ class RandomInput:
     def __post_init__(self):
         if not np.isfinite(self.amplitude) or self.amplitude < 0:
             raise InputError(f"amplitude must be a nonnegative number, got {self.amplitude}")
-        linalg.check_seed(self.seed)
+        linalg.check_seed(self.seed, "seed")
 
 
 def build_input(signal, horizon, m):

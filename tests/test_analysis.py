@@ -165,7 +165,7 @@ class TestObservabilityStaircase:
             if plant.q == plant.n:
                 continue
             A, C = plant.A, plant.C
-            q, T_k = analysis.observability_staircase(A, C)
+            q, T_k = analysis.observability_staircase(A, C, linalg.DEFAULT_TOL_RANK)
             cut = analysis.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
                 1.0, np.linalg.norm(A, 2), np.linalg.norm(C, 2))
             assert np.abs(T_k.T @ T_k - np.eye(plant.n)).max() <= 1e-13
