@@ -17,9 +17,10 @@ from .errors import DimensionError, InputError, NumericalError, RankDeficiencyEr
 BOUNDARY_TOL = 1e-9
 #: Eigenvalues closer than this are treated as one value for PBH purposes.
 CLUSTER_TOL = 1e-7
-#: Staircase cut over tol_rank * max(1, ||A||_2, ||C||_2). On the benchmark
-#: plants the dropped values reach 3.5 and the kept ones stay above 3.9e4.
-STAIRCASE_SCALE = 10.0
+#: Staircase cut over tol_rank * max(1, ||A||_2), C normalized. On the
+#: benchmark plants the dropped values reach 19 and the kept ones stay above
+#: 2.7e5.
+STAIRCASE_SCALE = 100.0
 
 
 @dataclass(frozen=True)
@@ -217,14 +218,16 @@ def observability_staircase(A, C, tol_rank):
     """q and an orthogonal T_k from the observability staircase (Van Dooren 1981).
 
     The controllability staircase of (A^T, C^T): SVDs split off the directions
-    that C, then the coupling to the block split off last, sees, until none
-    exceeds ``STAIRCASE_SCALE * tol_rank * max(1, ||A||_2, ||C||_2)``. The
-    (1, 2) block of T_k^T A T_k and C T_k[:, q:] are what fell below that cut.
+    that C / ||C||_2, then the coupling to the block split off last, sees,
+    until none exceeds ``STAIRCASE_SCALE * tol_rank * max(1, ||A||_2)``. The
+    scale of the outputs does not change q, so C enters normalized. The (1, 2)
+    block of T_k^T A T_k and C T_k[:, q:] / ||C||_2 are what fell below that cut.
     """
     A, C = check_pair(A, C)
     linalg.check_tol_rank(tol_rank)
     n = A.shape[0]
-    cut = STAIRCASE_SCALE * tol_rank * max(1.0, np.linalg.norm(A, 2), np.linalg.norm(C, 2))
+    C = C / (np.linalg.norm(C, 2) or 1.0)
+    cut = STAIRCASE_SCALE * tol_rank * max(1.0, np.linalg.norm(A, 2))
     T_k, At = np.eye(n), A.copy()
     q, coupling = 0, C
     while q < n:
@@ -250,8 +253,7 @@ def observability_verdict(classifications, q):
 
     A disagreement between the PBH test and q means the pair is
     numerically borderline and is reported as an error rather than silently
-    resolved. :func:`is_observable` applies it to every pair, a design only
-    where q = n (placement would move a mode PBH calls unobservable).
+    resolved. :func:`is_observable` and every design apply it.
     """
     pbh_verdict = all(c.observable for c in classifications)
     if pbh_verdict != (q == len(classifications)):

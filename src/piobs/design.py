@@ -346,12 +346,15 @@ def _lifted_plan(A, C, dec, K, targets, inherited, stage):
     Raises :class:`NumericalError` when A + KC is not Schur stable or misses
     the ``targets`` and the ``inherited`` poles, eig(A22), by more than
     ``PLACEMENT_TOL`` (ill-conditioned placed poles can move in the lift).
-    The (1, 2) block of T_k^T (A + KC) T_k is made of what the staircase
-    dropped below its cut, so the inherited poles are poles of A + KC; but a
+    The (1, 2) block of T_k^T (A + KC) T_k is A12 + K C T_k[:, q:]: what the
+    staircase dropped below its cut, and the dropped part of C times the
+    block gain K. For a block hidden from C both are rounding, so the
+    inherited poles are poles of A + KC (a block that C sees below the cut
+    and PBH calls observable was refused before, by the PBH verdict); but a
     defective one scatters by (eps ||A||)^(1/m), differently in each
     eigenvalue call. So each one farther than sqrt(PLACEMENT_TOL) from the
-    targets sets its nearest eigenvalue aside; the rest join the targets,
-    poles linked by gaps below that counting as one at their mean.
+    targets sets its nearest eigenvalue aside unjudged; the rest join the
+    targets, poles linked by gaps below that counting as one at their mean.
     """
     n, (q, p) = A.shape[0], K.shape
     if q == n:
@@ -397,25 +400,23 @@ def stabilization_plan(A, C, config=None):
     PBH decides existence, the observability decomposition gives q and the
     basis, the q targets are placed on its observable block (A11, C1), and
     :func:`_lifted_plan` lifts K by T_k and checks it when q < n (the
-    unobservable spectrum is inherited). Only q = n is checked against PBH,
-    since placement would move a mode PBH calls unobservable; a q = n plan
-    is judged by the gate of :func:`design_pi_observer`. One rule covers
-    every failure of placement or lift: explicit targets raise
+    unobservable spectrum is inherited). q must agree with PBH: at q = n
+    placement would move a mode PBH calls unobservable, and at q < n a
+    block PBH calls observable would be inherited as if C did not see it.
+    A q = n plan is judged by the gate of :func:`design_pi_observer`. One
+    rule covers every failure of placement or lift: explicit targets raise
     :class:`NumericalError`, default ones give way to :func:`_riccati_gain`
     and the poles it achieves, lifted and checked the same way.
     """
     config = config or DesignConfig()
     A, C = analysis.check_pair(A, C)
-    n = A.shape[0]
     verdict = analysis.is_detectable(A, C, config.tol_rank)
     if not verdict:
         raise NotDetectableError(verdict.witnesses)
     dec = analysis.kalman_decompose(A, C, config.tol_rank)
     q = dec.q
     targets = config.resolved_target_poles(q)
-    if q == n:
-        # Placement would move a mode PBH calls unobservable: refuse instead.
-        analysis.observability_verdict(verdict.classifications, q)
+    analysis.observability_verdict(verdict.classifications, q)
     inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
     try:
         K = _placement_search(dec.A11, dec.C1, targets, config.seed)
@@ -608,9 +609,10 @@ def design_pi_observer(system, config=None):
     Raises :class:`NotDetectableError` when no proportional-integral observer
     exists (the PBH test), :class:`InputError` for invalid configuration, and
     :class:`NumericalError` (naming the failing step) when a numerical stage
-    breaks down (ambiguous observability at q = n, a q < n plan that misses
-    its poles and failed verification included); nothing else. The returned observer has passed the one gate,
-    :attr:`VerificationReport.passed`; that report is its ``verification``.
+    breaks down (ambiguous observability, a q < n plan that misses its
+    poles and failed verification included); nothing else. The returned
+    observer has passed the one gate, :attr:`VerificationReport.passed`;
+    that report is its ``verification``.
     """
     if not isinstance(system, SystemRealization):
         system = SystemRealization(*system)

@@ -423,6 +423,59 @@ class TestDesignPipeline:
         closed = linalg.eigenvalues(system.A + obs.K @ system.C)
         assert linalg.pairing_distance(closed, obs.assigned_poles) <= 1e-6
 
+    def test_nearly_rank_deficient_output_keeps_the_inherited_split(self):
+        # Two nearly parallel sensors on an exactly hidden block. Where
+        # sigma_2(C) / sigma_1(C) = 5e-8 falls below the staircase cut, the
+        # first step drops an output direction, and the block gain (some
+        # 2e2) multiplies what the drop leaves in C T_k[:, q:] into the
+        # (1, 2) block of T_k^T (A + KC) T_k. That stays at rounding level,
+        # so the inherited poles are poles of A + KC.
+        designs = dropped = 0
+        for seed in range(6):
+            for delta in (1e-4, 1e-6, 1e-7):
+                rng = np.random.default_rng(seed)
+                C1 = np.array([[1.0, 1e-3], [1.0, 1e-3 + delta]])
+                A = np.block([[np.diag([0.9, -0.5]), np.zeros((2, 2))],
+                              [rng.standard_normal((2, 2)), np.diag([0.6, -0.3])]])
+                S = gen.rand_orthogonal(rng, 4)
+                A, C = S @ A @ S.T, np.hstack([C1, np.zeros((2, 2))]) @ S.T
+                dec = analysis.kalman_decompose(A, C)
+                assert dec.q == 2
+                sigma = np.linalg.svd(C, compute_uv=False)
+                cut = analysis.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
+                    1.0, np.linalg.norm(A, 2))
+                for poles in (None, (0.1, -0.2)):
+                    try:
+                        obs = design_pi_observer(SystemRealization(A, np.ones((4, 1)), C),
+                                                 DesignConfig(target_poles=poles))
+                    except NumericalError:
+                        continue
+                    designs += 1
+                    dropped += sigma[1] < cut * sigma[0]
+                    gained = dec.T_k[:, :2].T @ obs.K @ C @ dec.T_k[:, 2:]
+                    assert np.abs(gained).max() <= 1e-12
+                    closed = linalg.eigenvalues(A + obs.K @ C)
+                    split = obs.assigned_poles + obs.inherited_poles
+                    assert linalg.pairing_distance(closed, split) <= 1e-6
+        assert designs >= 28 and dropped >= 4
+
+    def test_weakly_observed_hidden_block_is_ambiguous(self):
+        # The hidden block is seen through C at 2.5e-8: above the PBH
+        # tolerance, below the staircase cut. PBH calls the pair observable
+        # while q = 2, so the design is refused; inheriting that block would
+        # report poles that A + KC misses by 1.1e-6.
+        rng = np.random.default_rng(334)
+        eps = 10 ** rng.uniform(-8.5, -6.5)
+        A = np.block([[np.array([[0.9, 0.3], [0.0, -0.5]]), np.zeros((2, 2))],
+                      [3 * rng.standard_normal((2, 2)), np.diag([0.8, -0.7])]])
+        C = np.array([[1.0, 0.2, 0.0, 0.0], [1.0, 0.2, *(eps * rng.standard_normal(2))]])
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        A, C = Q @ A @ Q.T, C @ Q.T
+        assert analysis.observable_dimension(A, C) == 2
+        assert all(c.observable for c in analysis.classify_eigenvalues(A, C))
+        with pytest.raises(NumericalError, match="numerically ambiguous"):
+            design_pi_observer(SystemRealization(A, np.ones((4, 1)), C))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(3, 6), st.integers(1, 2), st.integers(0, 2),
            st.floats(-9.0, -5.0), st.integers(0, 2**32 - 1))
