@@ -17,7 +17,8 @@ from .errors import DimensionError, InputError, NumericalError, RankDeficiencyEr
 BOUNDARY_TOL = 1e-9
 #: Eigenvalues closer than this are treated as one value for PBH purposes.
 CLUSTER_TOL = 1e-7
-#: Staircase cut over tol_rank * max(1, ||A||_2), C normalized. On the
+#: Staircase cut over tol_rank for the directions of C / ||C||_2, and over
+#: tol_rank * max(1, ||A||_2) for the later couplings, blocks of A. On the
 #: benchmark plants the dropped values reach 19 and the kept ones stay above
 #: 2.7e5.
 STAIRCASE_SCALE = 100.0
@@ -218,16 +219,19 @@ def observability_staircase(A, C, tol_rank):
     """q and an orthogonal T_k from the observability staircase (Van Dooren 1981).
 
     The controllability staircase of (A^T, C^T): SVDs split off the directions
-    that C / ||C||_2, then the coupling to the block split off last, sees,
-    until none exceeds ``STAIRCASE_SCALE * tol_rank * max(1, ||A||_2)``. The
-    scale of the outputs does not change q, so C enters normalized. The (1, 2)
-    block of T_k^T A T_k and C T_k[:, q:] / ||C||_2 are what fell below that cut.
+    that C / ||C||_2 sees above ``STAIRCASE_SCALE * tol_rank``, then those
+    that the coupling to the block split off last, a block of A, sees above
+    ``STAIRCASE_SCALE * tol_rank * max(1, ||A||_2)``, until none is left. The
+    scale of the outputs does not change q, so C enters normalized; the scale
+    of A does not cut C. C T_k[:, q:] / ||C||_2 fell below the first cut, the
+    (1, 2) block of T_k^T A T_k below the second.
     """
     A, C = check_pair(A, C)
     linalg.check_tol_rank(tol_rank)
     n = A.shape[0]
     C = C / (np.linalg.norm(C, 2) or 1.0)
-    cut = STAIRCASE_SCALE * tol_rank * max(1.0, np.linalg.norm(A, 2))
+    cut = STAIRCASE_SCALE * tol_rank
+    coupling_cut = cut * max(1.0, np.linalg.norm(A, 2))
     T_k, At = np.eye(n), A.copy()
     q, coupling = 0, C
     while q < n:
@@ -238,7 +242,7 @@ def observability_staircase(A, C, tol_rank):
         T_k[:, q:] = T_k[:, q:] @ Vt.T
         At[:, q:] = At[:, q:] @ Vt.T
         At[q:, :] = Vt @ At[q:, :]
-        coupling = At[q:q + k, q + k:]
+        coupling, cut = At[q:q + k, q + k:], coupling_cut
         q += k
     return q, T_k
 

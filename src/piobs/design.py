@@ -150,35 +150,12 @@ def _chain_links(shifts, p):
     return links
 
 
-def _real_block_diag(targets, p):
-    """Real upper block-bidiagonal matrix whose spectrum is the given pole multiset.
-
-    Real targets come first, in order of first appearance, then a 2 x 2
-    rotation block per conjugate pair. The m copies of a repeated target are
-    chained into min(p, m) real Jordan chains: copy k links to copy k - p by
-    a unit entry (or a 2 x 2 identity block) above the diagonal. With p = n
-    nothing links and the matrix is block diagonal.
-    """
-    reals, pairs = linalg.group_conjugate_roots(targets)
-    r = len(reals)
-    D = np.zeros((r + 2 * len(pairs),) * 2)
-    D[range(r), range(r)] = reals
-    for i, z in enumerate(pairs):
-        j = r + 2 * i
-        D[j:j + 2, j:j + 2] = [[z.real, z.imag], [-z.imag, z.real]]
-    for j, k in enumerate(_chain_links(reals + pairs, p)):
-        if k >= 0:
-            size, (row, col) = (1, (k, j)) if j < r else (2, (2 * k - r, 2 * j - r))
-            D[row:row + size, col:col + size] = np.eye(size)
-    return D
-
-
 def _placement_error(eigs, targets, scale, p=1):
     """Eigenvalue error of a placement whose A + KC has eigenvalues ``eigs``.
 
     Relative to ``scale``: the pairing distance of ``eigs`` and distinct
     targets. A target repeated m times is placed as Jordan chains of length
-    at most ceil(m/p) (see :func:`_real_block_diag`): rounding eps ||A + KC||
+    at most ceil(m/p) (see :func:`_sylvester_candidates`): rounding eps ||A + KC||
     scatters its eigenvalues by up to (eps ||A + KC||)^(1/ceil(m/p)) but
     moves their mean by O(eps ||A + KC||), so the cluster nearest it counts
     with the error of its mean and its spread to the power ceil(m/p). The
@@ -205,17 +182,20 @@ def _placement_error(eigs, targets, scale, p=1):
 def _sylvester_candidates(A, C, targets, rng):
     """Gain candidates from the Sylvester-equation placement method.
 
-    Each of ``SYLVESTER_ATTEMPTS`` attempts draws a random ``G`` (p x n) and solves
-    ``A^T X - X D = -C^T G = R`` for X, with ``D = _real_block_diag(targets, p)``
-    (Bhattacharyya & de Souza 1982); then ``F = G X^-1`` places the targets
-    on ``A^T + C^T F``. D is upper block-bidiagonal, so X is solved block by
-    block: the column of a real target ``r`` solves ``(A^T - r I) x = R[:, j]``,
-    and the two columns of a conjugate pair ``z`` are the real and imaginary
-    parts of the solution ``w`` of ``(A^T - z I) w = R[:, j] + i R[:, j+1]``:
-    one complex n x n solve per block. A chained block adds the solution of
-    the copy it links to onto its right-hand side. When a target lies within
-    1e-8 of eig(A), each attempt first shifts A by a random ``K0 C`` and
-    yields ``K0 + F^T``.
+    Each of ``SYLVESTER_ATTEMPTS`` attempts draws a random ``G`` (p x n) and
+    solves ``A^T X - X D = -C^T G = R`` for X (Bhattacharyya & de Souza
+    1982); then ``F = G X^-1`` places the targets on ``A^T + C^T F``. D, never
+    formed, is real upper block-bidiagonal: the real targets in order of
+    first appearance, then a block [[re, im], [-im, re]] per conjugate pair
+    sorted by (re, im), with a unit entry (or a 2 x 2 identity) above the
+    diagonal where :func:`_chain_links` links copies of a repeated target.
+    So X is solved block by block: the column of a real target ``r`` solves
+    ``(A^T - r I) x = R[:, j]``, and the two columns of a conjugate pair ``z``
+    are the real and imaginary parts of the solution ``w`` of
+    ``(A^T - z I) w = R[:, j] + i R[:, j+1]``: one complex n x n solve per
+    block. A chained block adds the solution of the copy it links to onto
+    its right-hand side. When a target lies within 1e-8 of eig(A), each
+    attempt first shifts A by a random ``K0 C`` and yields ``K0 + F^T``.
     """
     p, n = C.shape
     reals, pairs = linalg.group_conjugate_roots(targets)
@@ -252,18 +232,14 @@ def _sylvester_candidates(A, C, targets, rng):
 def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
     """Output-injection gain K with eig(A + KC) matching the target poles.
 
-    Requires (A, C) observable and a conjugate-closed multiset of n targets.
-    Candidates: inversion when C is square, and the Sylvester method for
-    every p, whose repeated targets become Jordan chains. Each is judged by
-    its eigenvalue error (see ``PLACEMENT_TOL``): the smallest-norm exact
-    one wins, else the best within ``PLACEMENT_TOL``, else
-    :class:`NumericalError` is raised.
+    Requires (A, C) observable. The targets obey the rule of every design,
+    :meth:`DesignConfig.resolved_target_poles`: n of them, conjugate-closed,
+    of magnitude below 1 - ``DEFAULT_MARGIN``. A bad target, ``tol_rank`` or
+    ``seed`` raises :class:`InputError`.
     """
     A, C = analysis.check_pair(A, C)
-    n = A.shape[0]
-    targets = tuple(complex(z) for z in np.atleast_1d(np.asarray(target_poles, dtype=complex)))
-    if len(targets) != n:
-        raise InputError(f"expected {n} target poles, got {len(targets)}")
+    config = DesignConfig(target_poles=target_poles, tol_rank=tol_rank, seed=seed)
+    targets = config.resolved_target_poles(A.shape[0])
     if not analysis.is_observable(A, C, tol_rank):
         raise NotObservableError(
             "pole placement requires an observable pair (A, C); the PBH test fails"
@@ -272,21 +248,17 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
 
 
 def _placement_search(A, C, targets, seed):
-    """The candidate search of :func:`place_poles`, without its input checks."""
-    p, n = C.shape
+    """Best gain of :func:`_sylvester_candidates` for ``targets``, inputs unchecked.
+
+    The smallest-norm exact candidate wins, else the one of least eigenvalue
+    error within ``PLACEMENT_TOL``, else :class:`NumericalError` is raised.
+    """
+    p = C.shape[0]
     scale = max(1.0, max(abs(z) for z in targets))
     rng = np.random.default_rng(seed)
-
-    def candidates():
-        if p == n:
-            # C invertible: K = (R - A) C^{-1} places the spectrum exactly.
-            R = _real_block_diag(targets, p)
-            yield np.linalg.solve(C.T, (R - A).T).T
-        yield from _sylvester_candidates(A, C, targets, rng)
-
     best_K, best_err = None, np.inf
     exact = []
-    for K in candidates():
+    for K in _sylvester_candidates(A, C, targets, rng):
         err = _placement_error(linalg.eigenvalues(A + K @ C), targets, scale, p)
         if err < best_err:
             best_K, best_err = K, err
@@ -300,7 +272,7 @@ def _placement_search(A, C, targets, seed):
                 break
     if exact:
         return min(exact, key=np.linalg.norm)
-    if best_K is None or best_err > PLACEMENT_TOL:
+    if best_err > PLACEMENT_TOL:
         chain = max(-(-targets.count(z) // p) for z in targets)
         raise NumericalError(
             f"pole placement failed: relative eigenvalue error at least "
@@ -346,12 +318,12 @@ def _lifted_plan(A, C, dec, K, targets, inherited, stage):
     Raises :class:`NumericalError` when A + KC is not Schur stable or misses
     the ``targets`` and the ``inherited`` poles, eig(A22), by more than
     ``PLACEMENT_TOL`` (ill-conditioned placed poles can move in the lift).
-    The (1, 2) block of T_k^T (A + KC) T_k is A12 + K C T_k[:, q:]: what the
-    staircase dropped below its cut, and the dropped part of C times the
-    block gain K. For a block hidden from C both are rounding, so the
-    inherited poles are poles of A + KC (a block that C sees below the cut
-    and PBH calls observable was refused before, by the PBH verdict); but a
-    defective one scatters by (eps ||A||)^(1/m), differently in each
+    The (1, 2) block of T_k^T (A + KC) T_k is A12 + K C T_k[:, q:]: the
+    parts of A and of C that the staircase dropped below its cuts, the latter
+    times the block gain K. For a block hidden from C both are rounding, so
+    the inherited poles are poles of A + KC (a block that C sees below the
+    cuts and PBH calls observable was refused before, by the PBH verdict);
+    but a defective one scatters by (eps ||A||)^(1/m), differently in each
     eigenvalue call. So each one farther than sqrt(PLACEMENT_TOL) from the
     targets sets its nearest eigenvalue aside unjudged; the rest join the
     targets, poles linked by gaps below that counting as one at their mean.

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from . import analysis, linalg
-from .design import DEFAULT_MARGIN, DesignConfig, PiObserver, VerificationReport
+from .design import DesignConfig, PiObserver, VerificationReport
 from .errors import DimensionError, InputError
 from .systems import SystemRealization
 
@@ -150,14 +150,11 @@ def load_system(path, tol_rank=linalg.DEFAULT_TOL_RANK):
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object at top level")
-    name = doc.get("name", "")
-    if name and not isinstance(name, str):
-        raise InputError(f"{path}: 'name' must be a string")
     try:
         A = matrix_from_doc(doc, "A")
         B = matrix_from_doc(doc, "B")
         C = matrix_from_doc(doc, "C")
-        return SystemRealization(A=A, B=B, C=C, name=name, tol_rank=tol_rank)
+        return SystemRealization(A=A, B=B, C=C, name=doc.get("name", ""), tol_rank=tol_rank)
     except InputError as exc:
         # keep the subclass (dimension / rank deficiency) while adding the path
         raise type(exc)(f"{path}: {exc}") from exc
@@ -293,10 +290,7 @@ def observer_from_report(system, doc):
         target_poles=assigned or None,
         phi=matrix_from_doc(cfg, "phi"),
         lambda_block=lam,
-        margin=cfg.get("margin", DEFAULT_MARGIN),
-        tol_rank=cfg.get("tol_rank", linalg.DEFAULT_TOL_RANK),
-        tol_eig=cfg.get("tol_eig", linalg.DEFAULT_TOL_EIG),
-        seed=cfg.get("seed", 0),
+        **{key: cfg[key] for key in ("margin", "tol_rank", "tol_eig", "seed") if key in cfg},
     )
     return PiObserver(
         system=system,

@@ -33,6 +33,11 @@ class ZeroInput:
     """u(k) = 0."""
 
 
+def _values(value, name):
+    """``value`` as a tuple of floats; :class:`InputError` for non-numeric entries."""
+    return tuple(float(v) for v in linalg._as_float(value, name).reshape(-1))
+
+
 @dataclass(frozen=True)
 class ConstantInput:
     """u(k) = value for all k."""
@@ -40,7 +45,7 @@ class ConstantInput:
     value: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "value", tuple(float(v) for v in np.atleast_1d(self.value)))
+        object.__setattr__(self, "value", _values(self.value, "constant input value"))
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class StepInput:
     onset: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "value", tuple(float(v) for v in np.atleast_1d(self.value)))
+        object.__setattr__(self, "value", _values(self.value, "step input value"))
         linalg.check_seed(self.onset, "step onset")
 
 
@@ -63,8 +68,8 @@ class RandomInput:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise InputError(f"amplitude must be a nonnegative number, got {self.amplitude}")
+        if not (linalg.is_real(self.amplitude) and 0.0 <= self.amplitude < np.inf):
+            raise InputError(f"amplitude must be a finite nonnegative number, got {self.amplitude}")
         linalg.check_seed(self.seed, "seed")
 
 
@@ -102,9 +107,10 @@ class SimulationConfig:
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
     def __post_init__(self):
+        linalg.check_seed(self.horizon, "horizon")
         if self.horizon < 1:
             raise InputError(f"horizon must be at least 1, got {self.horizon}")
-        if not 0.0 < self.convergence_tol < np.inf:
+        if not (linalg.is_real(self.convergence_tol) and 0.0 < self.convergence_tol < np.inf):
             raise InputError(
                 f"convergence tolerance must be positive and finite, got {self.convergence_tol}"
             )

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, RankDeficiencyError
+from .errors import DimensionError, InputError, RankDeficiencyError
 
 
 @dataclass(frozen=True)
@@ -13,8 +13,9 @@ class SystemRealization:
     """State-space realization (A, B, C) with n states, m inputs, p outputs.
 
     The output matrix C must have full row rank p; the constructor enforces
-    this because the whole observer construction rests on it. Arrays are
-    stored read-only, so instances are safe to share across threads.
+    this because the whole observer construction rests on it. ``name`` is a
+    string, or None for a system file whose name is null. Arrays are stored
+    read-only, so instances are safe to share across threads.
     """
 
     A: np.ndarray
@@ -24,6 +25,8 @@ class SystemRealization:
     tol_rank: float = field(default=linalg.DEFAULT_TOL_RANK, repr=False)
 
     def __post_init__(self):
+        if self.name is not None and not isinstance(self.name, str):
+            raise InputError(f"name must be a string, got {self.name!r}")
         A = linalg.as_square(self.A, "A")
         B = linalg.as_matrix(self.B, "B")
         C = linalg.as_matrix(self.C, "C")

@@ -86,3 +86,32 @@ def assignment_error(A, C, K, target_coeffs):
 def target_coeffs(targets):
     """Real monic polynomial with the given conjugate-closed roots, highest degree first."""
     return np.poly(np.asarray(targets, dtype=complex)).real
+
+
+def real_block_diag(targets, p):
+    """Real matrix with spectrum ``targets``, laid out as Sylvester placement orders it.
+
+    Real targets first, in order of first appearance, then a block
+    [[re, im], [-im, re]] per conjugate pair, sorted by (re, im). Copy k of a
+    repeated target is linked to copy k - p by a unit entry (a 2 x 2
+    identity for pairs) above the diagonal, forming real Jordan chains.
+    """
+    targets = [complex(z) for z in targets]
+    reals = [z.real for z in targets if z.imag == 0]
+    pairs = sorted((z for z in targets if z.imag > 0), key=lambda z: (z.real, z.imag))
+    starts, size = [], 0
+    for z in reals + pairs:
+        starts.append(size)
+        size += 1 if z.imag == 0 else 2
+    D = np.zeros((size, size))
+    copies = {}
+    for z, j in zip(reals + pairs, starts):
+        width = 1 if z.imag == 0 else 2
+        D[j:j + width, j:j + width] = z.real if width == 1 else [[z.real, z.imag],
+                                                                 [-z.imag, z.real]]
+        seen = copies.setdefault(z, [])
+        if len(seen) >= p:
+            k = seen[-p]
+            D[k:k + width, j:j + width] = np.eye(width)
+        seen.append(j)
+    return D

@@ -72,6 +72,27 @@ class TestAnalyze:
         assert "row 2" in capsys.readouterr().err
 
 
+class TestMalformedSystems:
+    @pytest.mark.parametrize("text, message", [
+        ('{"A": [], "B": [[1.0]], "C": [[1.0]]}', "A: expected a non-empty array of rows"),
+        ('{"A": [0.5], "B": [[1.0]], "C": [[1.0]]}',
+         "A: row 1 must be a non-empty array of numbers"),
+        ('[[0.5]]', "expected a JSON object at top level"),
+        ('{"name": 3, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}', "name must be a string, got 3"),
+    ])
+    def test_malformed_system_file_exits_3_naming_file_and_field(self, tmp_path, capsys,
+                                                                 text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == f"piobs: error: {path}: {message}\n"
+
+    def test_unreadable_system_file_exits_3_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert cli.main(["design", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"piobs: error: cannot read {path}: ")
+
+
 class TestDesign:
     def test_worked_design_gains(self, tmp_path, worked_file):
         out = design_worked(tmp_path, worked_file)
@@ -291,6 +312,16 @@ class TestVerify:
         assert "piobs: error: tol_rank must be in (0, 1), got nan" in captured.err
         assert "confirmed" not in captured.out
 
+    def test_infeasible_report_of_a_detectable_system_exits_4(self, tmp_path, worked_file,
+                                                              undetectable_file, capsys):
+        out = str(tmp_path / "rep.json")
+        assert cli.main(["design", undetectable_file, "--out", out]) == 2
+        capsys.readouterr()
+        assert cli.main(["verify", worked_file, out]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "report claims infeasible but the system is detectable\n"
+        assert "confirmed" not in captured.out
+
     def test_report_against_wrong_system_exits_3(self, tmp_path, worked_file,
                                                  undetectable_file):
         out = design_worked(tmp_path, worked_file)
@@ -330,6 +361,39 @@ class TestMalformedReports:
         assert cli.main([command, worked_file, report]) == 3
         assert ("piobs: error: poles.assigned: expected an array of pairs, got int"
                 in capsys.readouterr().err)
+
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("entry, message", [
+        ([0.2], "poles.assigned: expected a [re, im] pair, got [0.2]"),
+        (["0.2", 0.0], "poles.assigned: expected numeric [re, im] pair, got ['0.2', 0.0]"),
+    ])
+    def test_pole_entry_that_is_not_a_numeric_pair_exits_3(self, tmp_path, worked_file, capsys,
+                                                           command, entry, message):
+        report = tampered_report(tmp_path, worked_file,
+                                 lambda doc: doc["poles"].update(assigned=[entry]))
+        assert cli.main([command, worked_file, report]) == 3
+        assert capsys.readouterr().err == f"piobs: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"format": "pi-observer-analysis"}, "not a design report document"),
+        ({"verdict": "maybe"}, "missing or invalid 'verdict'"),
+    ])
+    def test_file_that_is_not_a_design_report_exits_3_naming_it(
+            self, tmp_path, worked_file, capsys, command, edit, message):
+        report = tampered_report(tmp_path, worked_file, lambda doc: doc.update(edit))
+        assert cli.main([command, worked_file, report]) == 3
+        assert capsys.readouterr().err == f"piobs: error: {report}: {message}\n"
+
+    def test_simulate_of_an_infeasible_report_exits_3(self, tmp_path, undetectable_file,
+                                                      capsys):
+        out = str(tmp_path / "rep.json")
+        assert cli.main(["design", undetectable_file, "--out", out]) == 2
+        capsys.readouterr()
+        assert cli.main(["simulate", undetectable_file, out]) == 3
+        assert capsys.readouterr().err == (
+            "piobs: error: report is infeasible; it carries no gains to rebuild\n")
 
 
 class TestSimulate:

@@ -24,7 +24,6 @@ from piobs.design import (
     PLACEMENT_TOL,
     _placement_error,
     _riccati_gain,
-    _real_block_diag,
     _sylvester_candidates,
     coupling_matrix,
     default_target_poles,
@@ -69,6 +68,17 @@ class TestPlacePoles:
     def test_wrong_target_count_rejected(self):
         with pytest.raises(InputError):
             place_poles([[0.5]], [[1.0]], [0.1, 0.2])
+
+    @pytest.mark.parametrize("targets, seed, match", [
+        ([0.2], -1, "seed must be nonnegative and an integer, got -1"),
+        ([0.2], True, "seed must be nonnegative and an integer, got True"),
+        ([1.0], 0, "target poles must have magnitude below 1 - margin"),
+        ([-2.0], 0, "target poles must have magnitude below 1 - margin"),
+    ])
+    def test_targets_and_seed_follow_the_design_rule(self, targets, seed, match):
+        # DesignConfig.resolved_target_poles; seed=-1 reached numpy's ValueError
+        with pytest.raises(InputError, match=match):
+            place_poles([[0.5]], [[1.0]], targets, seed=seed)
 
     def test_multi_output_distinct_targets(self, rng):
         A, C = gen.random_observable_pair(rng, 6, 2, radius=1.1)
@@ -185,7 +195,7 @@ class TestSylvesterCandidates:
             values = np.repeat(np.linspace(-0.8, 0.8, (reals + 2) // 3), 3)[:reals]
         targets = tuple(complex(r) for r in values) + tuple(
             z for a in angles for z in (0.6 * np.exp(1j * a), 0.6 * np.exp(-1j * a)))
-        D = _real_block_diag(targets, p)
+        D = oracles.real_block_diag(targets, p)
         mine, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         candidates = list(_sylvester_candidates(A, C, targets, mine))
         eps = np.finfo(float).eps
@@ -318,6 +328,19 @@ class TestCouplingMatrix:
 
 
 class TestDesignPipeline:
+    @pytest.mark.parametrize("A, C", [([[0.5, 1e8], [0.0, 0.3]], [[1.0, 0.0]]),
+                                      (np.diag([1e7, 0.5]), [[1.0, 1.0]])])
+    def test_plant_with_a_large_norm_designs(self, A, C):
+        # Stable and observable, with ||A||_2 >= 1e7 (a state in badly chosen
+        # units). A staircase that cut C, unit norm, at 100 tol_rank ||A||_2
+        # found q = 0, and kalman_decompose raised NumericalError.
+        assert analysis.observable_dimension(A, C) == 2
+        assert linalg.numerical_rank(analysis.observability_matrix(A, C)) == 2
+        assert all(c.observable for c in analysis.classify_eigenvalues(A, C))
+        obs = design_pi_observer(SystemRealization(A, [[1.0], [0.0]], C))
+        assert obs.verification.spectral_radius == pytest.approx(0.5, abs=1e-9)
+        assert obs.verification.spectral_radius < 1.0 - obs.config.margin
+
     def test_worked_design_matches_hand_computation(self, worked_observer):
         obs = worked_observer
         assert obs.K == pytest.approx(np.array([[-0.3]]), abs=1e-12)

@@ -117,6 +117,24 @@ class TestDesignReports:
         assert verify_design(rebuilt).passed
         assert verify_design(rebuilt) == verification
 
+    def test_missing_optional_config_keys_read_back_as_the_defaults(self, rng):
+        system = gen.random_detectable_system(rng, n=3, p=1, m=1)
+        observer = design_pi_observer(system, DesignConfig(margin=0.1, tol_eig=1e-6, seed=4))
+        doc = reportio.design_report_doc(observer, observer.verification)
+        for key in ("margin", "tol_rank", "tol_eig", "seed"):
+            del doc["config"][key]
+        config = reportio.observer_from_report(system, doc).config
+        default = DesignConfig()
+        assert (config.margin, config.tol_rank, config.tol_eig, config.seed) == (
+            default.margin, default.tol_rank, default.tol_eig, default.seed)
+
+    def test_null_name_reads_back_as_null(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"name": null, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}')
+        system = reportio.load_system(path)
+        assert system.name is None
+        assert reportio.infeasible_report_doc(system, [])["system"]["name"] is None
+
     def test_report_for_wrong_system_is_rejected(self, tmp_path, rng):
         system = gen.random_detectable_system(rng, n=3, p=1, m=1)
         other = gen.random_detectable_system(rng, n=4, p=2, m=1)

@@ -111,6 +111,35 @@ class TestInputSignals:
         with pytest.raises(InputError, match="step onset must be nonnegative and an integer"):
             StepInput(value=(1.0,), onset=onset)
 
+    @pytest.mark.parametrize("setting, match", [
+        ({"horizon": 2.5}, "horizon must be nonnegative and an integer"),
+        ({"horizon": "3"}, "horizon must be nonnegative and an integer"),
+        ({"horizon": True}, "horizon must be nonnegative and an integer"),
+        ({"convergence_tol": "a"}, "convergence tolerance must be positive and finite"),
+        ({"convergence_tol": True}, "convergence tolerance must be positive and finite"),
+    ])
+    def test_simulation_config_refuses_bad_types(self, setting, match):
+        # 2.5 reached a TypeError in run_simulation, "3" and "a" one here,
+        # and True passed as 1
+        with pytest.raises(InputError, match=match):
+            SimulationConfig(**setting)
+        assert SimulationConfig(horizon=np.int64(3)).horizon == 3
+
+    @pytest.mark.parametrize("amplitude", ["x", None, True, -1.0, np.nan, np.inf])
+    def test_random_amplitude_must_be_a_finite_nonnegative_number(self, amplitude):
+        with pytest.raises(InputError, match="amplitude must be a finite nonnegative number"):
+            RandomInput(amplitude=amplitude)
+
+    @pytest.mark.parametrize("value", ["abc", [1.0, "x"], [[1.0], [2.0, 3.0]]])
+    def test_constant_value_must_be_numeric(self, value):
+        with pytest.raises(InputError, match="constant input value: entries are not numeric"):
+            ConstantInput(value=value)
+
+    @pytest.mark.parametrize("value", ["abc", [1.0, "x"], [[1.0], [2.0, 3.0]]])
+    def test_step_value_must_be_numeric(self, value):
+        with pytest.raises(InputError, match="step input value: entries are not numeric"):
+            StepInput(value=value)
+
     def test_numpy_integer_onset_is_accepted(self):
         step = build_input(StepInput(value=(1.0,), onset=np.int64(1)), 3, 1)
         assert np.array_equal(step, [[0.0], [1.0], [1.0]])

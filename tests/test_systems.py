@@ -44,3 +44,13 @@ class TestConstruction:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(InputError):
             SystemRealization(A=[[np.inf]], B=[[1.0]], C=[[1.0]])
+
+    @pytest.mark.parametrize("name", [3, 0, ["plant"], b"plant"])
+    def test_name_must_be_a_string(self, name):
+        # the check load_system made alone; SystemRealization(name=3) wrote "name": 3
+        with pytest.raises(InputError, match="name must be a string"):
+            SystemRealization(A=[[0.5]], B=[[1.0]], C=[[1.0]], name=name)
+
+    @pytest.mark.parametrize("name", ["plant", "", None])
+    def test_string_or_null_name_is_kept(self, name):
+        assert SystemRealization(A=[[0.5]], B=[[1.0]], C=[[1.0]], name=name).name == name
