@@ -210,8 +210,8 @@ def _input_signal_from_args(args, m):
 
 
 def cmd_simulate(args):
-    system = reportio.load_system(args.system)
     doc = reportio.load_report(args.report)
+    system = reportio.load_system(args.system, tol_rank=reportio.report_tol_rank(doc))
     observer = reportio.observer_from_report(system, doc)
     config = sim.SimulationConfig(
         horizon=args.horizon,
@@ -236,12 +236,10 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    system = reportio.load_system(args.system)
     doc = reportio.load_report(args.report)
+    system = reportio.load_system(args.system, tol_rank=reportio.report_tol_rank(doc))
     if doc["verdict"] == "infeasible":
-        tol_rank = doc.get("tolerances", {}).get("tol_rank", linalg.DEFAULT_TOL_RANK)
-        verdict = analysis.is_detectable(system.A, system.C, tol_rank)
-        if not verdict:
+        if not analysis.is_detectable(system.A, system.C, system.tol_rank):
             print("infeasible verdict confirmed: pair (A, C) is not detectable")
             return EXIT_INFEASIBLE
         print("report claims infeasible but the system is detectable",

@@ -10,6 +10,7 @@ augmented error/integrator matrix is then similar to block-triangular
 [[A + KC, 0], [-C, phi]], which is what :func:`verify_design` checks.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     NotDetectableError,
     NotObservableError,
     NumericalError,
+    SingularMatrixError,
 )
 from .systems import SystemRealization
 
@@ -88,10 +90,11 @@ class DesignConfig:
             raise InputError(f"tol_eig must be finite and nonnegative, got {self.tol_eig}")
         linalg.check_seed(self.seed, "seed")
         if self.target_poles is not None:
-            object.__setattr__(
-                self, "target_poles",
-                tuple(complex(z) for z in np.atleast_1d(self.target_poles)),
-            )
+            poles = np.atleast_1d(np.asarray(self.target_poles, dtype=object))
+            for z in poles:
+                if not isinstance(z, numbers.Number) or isinstance(z, bool):
+                    raise InputError(f"target pole {z!r} is not a number")
+            object.__setattr__(self, "target_poles", tuple(complex(z) for z in poles))
 
     def resolved_target_poles(self, count):
         """Validated target poles for a block of ``count`` assignable modes."""
@@ -404,20 +407,35 @@ def stabilization_plan(A, C, config=None):
 
 
 def coupling_matrix(T, phi, lambda_block=None):
-    """Solve T X = [I - phi; lambda] for the coupling matrix X.
+    """The coupling matrix X solving T X = [I - phi; lambda], in closed form.
 
-    When C = [I_p, 0] T, this X satisfies -C X + I = phi exactly, which is
-    the identity that decouples the integral loop.
+    T must stack C on distinct rows of the identity at the free columns f
+    (:func:`linalg.complete_row_basis`), else :class:`InputError`. Then
+    X[f] = lambda exactly, and C_P X[P] = I - phi - C_f lambda on the pivot
+    columns P is one p x p solve, refined once (:class:`SingularMatrixError`
+    when C_P is exactly singular). So -C X + I = phi, the identity that
+    decouples the integral loop.
     """
     T = linalg.as_square(T, "T")
     phi = linalg.as_square(phi, "phi")
     n, p = T.shape[0], phi.shape[0]
     if p > n:
         raise DimensionError(f"phi is {p}x{p} but T is only {n}x{n}")
-    lam = (np.zeros((n - p, p)) if lambda_block is None
-           else linalg.as_shaped(lambda_block, (n - p, p), "lambda block"))
-    stacked = np.vstack([np.eye(p) - phi, lam])
-    return linalg.solve(T, stacked)
+    lam = DesignConfig(lambda_block=lambda_block).resolved_lambda(n, p)
+    C, free = T[:p], T[p:].argmax(axis=1)
+    pivots = np.ones(n, dtype=bool)
+    pivots[free] = False
+    if pivots.sum() != p or not np.array_equal(T[p:], np.eye(n)[free]):
+        raise InputError("T must stack C on distinct rows of the identity")
+    X = np.empty((n, p))
+    X[free] = lam
+    try:
+        X[pivots] = np.linalg.solve(C[:, pivots], np.eye(p) - phi - C[:, free] @ lam)
+        # One refinement step on the residual that the phi-identity check measures.
+        X[pivots] += np.linalg.solve(C[:, pivots], np.eye(p) - phi - C @ X)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"coupling solve failed: C_P is singular: {exc}") from exc
+    return X
 
 
 def augmented_matrix(system, L, F):
@@ -597,14 +615,8 @@ def design_pi_observer(system, config=None):
 
     plan = stabilization_plan(A, C, config)
 
-    try:
-        T = linalg.complete_row_basis(C, config.tol_rank)
-    except NumericalError as exc:
-        raise NumericalError(f"output-basis completion failed: {exc}") from exc
-    try:
-        X = coupling_matrix(T, phi, lam)
-    except NumericalError as exc:
-        raise NumericalError(f"coupling solve failed: {exc}") from exc
+    T = linalg.complete_row_basis(C, config.tol_rank)
+    X = coupling_matrix(T, phi, lam)
 
     L = X - plan.K
     F = -(A - L @ C) @ X + X @ (-C @ X + np.eye(p))

@@ -46,13 +46,7 @@ class NumericalError(PiobsError):
 
 
 class SingularMatrixError(NumericalError):
-    """A linear solve hit a singular or numerically singular matrix."""
-
-    def __init__(self, message, rcond=None):
-        self.rcond = rcond
-        if rcond is not None:
-            message = f"{message} (reciprocal condition estimate {rcond:.3e})"
-        super().__init__(message)
+    """A linear solve hit an exactly singular matrix."""
 
 
 class SimulationDivergenceError(NumericalError):

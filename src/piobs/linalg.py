@@ -4,10 +4,11 @@ All operations work on plain numpy float64 arrays (row-major), are pure
 functions of their inputs and never mutate arguments, so callers may share
 values freely across threads.
 
-Everything here is numpy: ranks and condition numbers take numpy's
-singular values (equal to scipy's ``svdvals`` bit for bit), :func:`solve`
-is numpy's LU solve with one refinement step, and spectrum pairing is a
-port of scipy's ``linear_sum_assignment``. No piobs module imports scipy.
+Everything here is numpy: ranks take numpy's singular values (equal to
+scipy's ``svdvals`` bit for bit), and spectrum pairing is a port of
+scipy's ``linear_sum_assignment``. Nothing here solves a linear system:
+the one the observer construction needs has a closed form
+(``design.coupling_matrix``). No piobs module imports scipy.
 """
 
 import numpy as np
@@ -17,15 +18,12 @@ from .errors import (
     InputError,
     NumericalError,
     RankDeficiencyError,
-    SingularMatrixError,
 )
 
 #: Relative singular-value threshold for numerical rank decisions.
 DEFAULT_TOL_RANK = 1e-9
 #: Eigenvalue tolerance used when comparing spectra.
 DEFAULT_TOL_EIG = 1e-8
-#: Reciprocal condition floor below which a linear solve is refused.
-DEFAULT_TOL_COND = 1e-12
 #: Tolerance for conjugate-closure checks on spectra and pole sets.
 CONJUGATE_TOL = 1e-9
 #: Relative pivot threshold of the basis completion (see :func:`_pivot_columns`).
@@ -168,37 +166,6 @@ def group_conjugate_roots(values):
     return reals, pairs
 
 
-def solve(M, rhs):
-    """Solve ``M @ Y = rhs`` for square nonsingular ``M``.
-
-    Refuses matrices whose reciprocal condition estimate falls below
-    ``DEFAULT_TOL_COND``. One step of iterative refinement keeps the residual near
-    machine precision even for moderately conditioned systems.
-    """
-    M = as_square(M, "solve: matrix")
-    rhs_arr = as_matrix(rhs, "solve: right-hand side")
-    if rhs_arr.shape[0] != M.shape[0]:
-        raise DimensionError(
-            f"solve: right-hand side has {rhs_arr.shape[0]} rows, expected {M.shape[0]}"
-        )
-    rcond = reciprocal_condition(M)
-    if not np.isfinite(rcond) or rcond < DEFAULT_TOL_COND:
-        raise SingularMatrixError("matrix is singular or near-singular", rcond=rcond)
-    # numpy exposes no LU factors, so the refinement step factors M again;
-    # that costs little at the sizes piobs solves.
-    Y = np.linalg.solve(M, rhs_arr)
-    Y += np.linalg.solve(M, rhs_arr - M @ Y)
-    return Y
-
-
-def reciprocal_condition(M):
-    """Reciprocal 2-norm condition number (0 for exactly singular input)."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] / sv[0])
-
-
 def complete_row_basis(C, tol_rank=DEFAULT_TOL_RANK):
     """Extend a full-row-rank ``C`` (p x n) to a nonsingular n x n matrix T.
 
@@ -208,22 +175,18 @@ def complete_row_basis(C, tol_rank=DEFAULT_TOL_RANK):
     threshold column pivoting: the leftmost column whose pivot is within a
     constant factor of the best available one wins, which keeps the result
     deterministic and integer-friendly without letting T become badly
-    conditioned.
+    conditioned. T is nonsingular exactly when its pivot columns ``C_P`` are,
+    and every pivot exceeds the negligible threshold; how well T is
+    conditioned is left to the phi-identity check of a design.
     """
     C = as_matrix(C, "complete_row_basis: C")
     p, n = C.shape
-    if p > n:
-        raise DimensionError(f"complete_row_basis: C has more rows ({p}) than columns ({n})")
     pivots = _pivot_columns(C, tol_rank)
     if len(pivots) < p:
         raise RankDeficiencyError(
             f"C must have full row rank {p}, numerical elimination found rank {len(pivots)}"
         )
-    free = [j for j in range(n) if j not in set(pivots)]
-    T = np.vstack([C, np.eye(n)[free]]) if free else C.copy()
-    if numerical_rank(T, tol_rank) < n:
-        raise NumericalError("row-basis completion produced a rank-deficient matrix")
-    return T
+    return np.vstack([C, np.delete(np.eye(n), pivots, axis=0)])
 
 
 def _pivot_columns(C, tol_rank):
@@ -237,7 +200,7 @@ def _pivot_columns(C, tol_rank):
     negligible = tol_rank * max(1.0, float(np.max(np.abs(R))))
     pivots = []
     remaining = list(range(n))
-    for r in range(p):
+    for r in range(min(p, n)):
         mags = np.abs(R[r:, remaining]).max(axis=0)
         best = float(mags.max())
         if best <= negligible:

@@ -248,6 +248,14 @@ def load_report(path):
     return doc
 
 
+def report_tol_rank(doc):
+    """The checked ``tol_rank`` of a report: in ``config`` if feasible, else ``tolerances``."""
+    key = "config" if doc["verdict"] == "feasible" else "tolerances"
+    tol_rank = _object(doc, key).get("tol_rank", linalg.DEFAULT_TOL_RANK)
+    linalg.check_tol_rank(tol_rank)
+    return tol_rank
+
+
 def _object(doc, key):
     """The JSON object ``doc[key]``, {} when absent; :class:`InputError` for another type."""
     value = doc.get(key, {})

@@ -4,7 +4,7 @@ import pytest
 import gen_systems as gen
 import oracles
 from piobs import analysis, linalg
-from piobs.errors import InputError, NumericalError
+from piobs.errors import DimensionError, InputError, NumericalError
 
 
 def diag_pair(c_row):
@@ -187,6 +187,15 @@ class TestObservabilityStaircase:
 
 
 class TestKalmanDecomposition:
+    def test_tolerance_that_cuts_every_direction_of_c_is_a_numerical_error(self):
+        # The first cut, 100 * tol_rank = 50, exceeds the unit norm of the scaled C.
+        with pytest.raises(NumericalError, match="observable subspace is empty"):
+            analysis.kalman_decompose(np.diag([0.5, 0.2]), [[1.0, 1.0]], tol_rank=0.5)
+
+    def test_pair_with_mismatched_columns_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="C has 3 columns, expected n=2"):
+            analysis.check_pair(np.eye(2), np.ones((1, 3)))
+
     def test_split_of_diagonal_pair(self):
         A, C = diag_pair([1.0, 0.0])
         dec = analysis.kalman_decompose(A, C)

@@ -26,6 +26,20 @@ def undetectable_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def faint_file(tmp_path):
+    """Writer of a system whose C has sigma_2 / sigma_1 = 5e-11: full row rank at
+    --tol-rank 1e-12, rank deficient at the default 1e-9. The third mode, at
+    ``hidden``, is unobservable."""
+    def write(hidden):
+        path = tmp_path / "faint.json"
+        path.write_text(json.dumps({"A": np.diag([0.5, 0.2, hidden]).tolist(),
+                                    "B": [[1.0], [0.0], [0.0]],
+                                    "C": [[1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]]}))
+        return str(path)
+    return write
+
+
 def design_worked(tmp_path, worked_file, *extra):
     out = str(tmp_path / "report.json")
     status = cli.main(
@@ -70,6 +84,13 @@ class TestAnalyze:
         path.write_text('{"A": [[1.0, 0.0], [0.5]], "B": [[1],[1]], "C": [[1.0, 0.0]]}')
         assert cli.main(["analyze", str(path)]) == 3
         assert "row 2" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("stem", ["observable5", "unobservable4"])
+    def test_out_file_matches_golden_bytes(self, tmp_path, stem):
+        out = tmp_path / "analysis.json"
+        assert cli.main(["analyze", str(DATA / f"{stem}.system.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{stem}.analysis.json").read_bytes()
 
 
 class TestMalformedSystems:
@@ -135,6 +156,27 @@ class TestDesign:
         with pytest.raises(SystemExit) as err:
             cli.main(["design", worked_file, "--no-such-flag"])
         assert err.value.code == 3
+
+    @pytest.mark.parametrize("system, status", [("worked_file", 0), ("undetectable_file", 2)])
+    def test_stdout_report_is_the_out_file(self, tmp_path, capsysbinary, request, system,
+                                           status):
+        path = request.getfixturevalue(system)
+        out = tmp_path / "report.json"
+        assert cli.main(["design", path, "--out", str(out)]) == status
+        capsysbinary.readouterr()
+        assert cli.main(["design", path]) == status
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["design", "sys.json", "--pole", "abc"], "not a number: 'abc'"),
+        (["simulate", "sys.json", "rep.json", "--x0", "a,b"],
+         "expected comma-separated numbers, got 'a,b'"),
+    ])
+    def test_unparsable_flag_value_exits_3(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 3
+        assert message in capsys.readouterr().err
 
     def test_wrong_pole_count_exits_3(self, undetectable_file, tmp_path, capsys):
         path = tmp_path / "sys.json"
@@ -285,6 +327,14 @@ class TestVerify:
         assert cli.main(["design", str(system), "--tol-rank", "1e-7", "--out", out]) == 2
         assert json.loads(open(out).read())["tolerances"] == {"tol_rank": 1e-7}
         assert cli.main(["verify", str(system), out]) == 2
+
+    @pytest.mark.parametrize("hidden, status", [(0.1, 0), (2.0, 2)])
+    def test_system_is_loaded_at_the_tol_rank_of_the_report(self, tmp_path, faint_file, hidden,
+                                                            status):
+        system = faint_file(hidden)
+        out = str(tmp_path / "rep.json")
+        assert cli.main(["design", system, "--tol-rank", "1e-12", "--out", out]) == status
+        assert cli.main(["verify", system, out]) == status
 
     def test_malformed_tolerance_exits_3(self, tmp_path, undetectable_file, capsys):
         out = tmp_path / "rep.json"
@@ -446,6 +496,25 @@ class TestSimulate:
         for err in errs[1:]:
             assert np.abs(err - errs[0]).max() <= 5e-9
 
+    def test_system_is_loaded_at_the_tol_rank_of_the_report(self, tmp_path, faint_file):
+        system = faint_file(0.1)
+        report, trace = str(tmp_path / "rep.json"), tmp_path / "trace.csv"
+        assert cli.main(["design", system, "--tol-rank", "1e-12", "--out", report]) == 0
+        assert cli.main(["simulate", system, report, "--horizon", "5", "--out", str(trace)]) == 0
+        assert len(trace.read_text().splitlines()) == 2 + 6
+
+    @pytest.mark.parametrize("x0, message", [
+        ("1,2", "x0: expected length 1, got 2"), ("nan", "x0: contains non-finite entries"),
+    ])
+    def test_bad_initial_state_exits_3_and_writes_nothing(self, tmp_path, worked_file, capsys,
+                                                          x0, message):
+        report = design_worked(tmp_path, worked_file)
+        capsys.readouterr()
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", worked_file, report, f"--x0={x0}", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"piobs: error: {message}\n"
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_3(self, tmp_path, worked_file, undetectable_file):
         report = design_worked(tmp_path, worked_file)
         assert cli.main(["simulate", undetectable_file, report]) == 3
@@ -495,6 +564,19 @@ class TestBatch:
         assert "[0]" in stdout and "[2]" in stdout
         assert (out_dir / "worked.report.json").exists()
         assert (out_dir / "undetectable.report.json").exists()
+
+    def test_failing_member_prints_its_error_and_batch_exits_with_the_worst_status(
+            self, tmp_path, worked_file, undetectable_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"A": [[0.5]], "B": [[1.0]]}')
+        argv = ["batch", worked_file, str(bad), undetectable_file, "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("[")] == [
+            f"[0] {worked_file}: feasible",
+            f"[3] {bad}: error: {bad}: missing required field 'C'",
+            f"[2] {undetectable_file}: infeasible",
+        ]
 
     def test_two_systems_with_one_report_name_exit_3_before_any_design(
             self, tmp_path, worked_file, undetectable_file, capsys):

@@ -203,7 +203,8 @@ class TestSylvesterCandidates:
         for _ in range(8):
             G = oracle.standard_normal((p, n))
             X = scipy.linalg.solve_sylvester(A.T, -D, -C.T @ G)
-            rcond = linalg.reciprocal_condition(X)
+            sv = np.linalg.svd(X, compute_uv=False)
+            rcond = sv[-1] / sv[0]
             K_ref = np.linalg.solve(X.T, G.T)
             K = candidates[count]
             count += 1
@@ -318,9 +319,32 @@ class TestCouplingMatrix:
         X = coupling_matrix([[0.0, 1.0], [1.0, 0.0]], [[0.5]], [[0.2]])
         assert X == pytest.approx(np.array([[0.2], [0.5]]))
 
-    def test_singular_basis_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            coupling_matrix([[1.0, 1.0], [1.0, 1.0]], [[0.5]], [[0.0]])
+    def test_singular_pivot_block_rejected(self):
+        # T = [C; e_0]: the pivot column of C = [1, 0] is the zero column 1.
+        with pytest.raises(SingularMatrixError, match="C_P is singular"):
+            coupling_matrix([[1.0, 0.0], [1.0, 0.0]], [[0.5]], [[0.0]])
+
+    @pytest.mark.parametrize("T", [[[1.0, 1.0], [1.0, 1.0]],
+                                   [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+                                   [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]])
+    def test_basis_that_is_not_a_completion_rejected(self, T):
+        with pytest.raises(InputError, match="distinct rows of the identity"):
+            coupling_matrix(T, [[0.5]])
+
+    def test_free_rows_take_lambda_exactly(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            p = int(rng.integers(1, n + 1))
+            C = rng.standard_normal((p, n))
+            T = linalg.complete_row_basis(C)
+            lam = rng.standard_normal((n - p, p))
+            phi = 0.5 * np.eye(p) + 0.1 * rng.standard_normal((p, p))
+            X = coupling_matrix(T, phi, lam)
+            assert np.array_equal(X[T[p:].argmax(axis=1)], lam)
+            assert np.abs(-C @ X + np.eye(p) - phi).max() <= 1e-12
+            Y = np.linalg.solve(T, np.vstack([np.eye(p) - phi, lam]))
+            tol = 1e-14 * np.linalg.cond(T) * max(1.0, np.abs(Y).max())
+            assert np.abs(X - Y).max() <= tol
 
     def test_bad_lambda_shape_rejected(self):
         with pytest.raises(DimensionError):
@@ -668,6 +692,18 @@ class TestDesignConfigValidation:
     def test_setting_of_wrong_type_or_range_is_refused_when_built(self, name, value):
         with pytest.raises(InputError, match=f"^{name} must be"):
             DesignConfig(**{name: value})
+
+    @pytest.mark.parametrize("poles, entry", [
+        (["x"], "'x'"), ("abc", "'abc'"), ([None], "None"), (["0.5"], "'0.5'"),
+        ([0.1, True], "True"),
+    ])
+    def test_target_that_is_not_a_number_is_refused_when_built(self, poles, entry):
+        with pytest.raises(InputError, match=f"^target pole {entry} is not a number$"):
+            DesignConfig(target_poles=poles)
+
+    def test_default_targets_need_a_positive_count(self):
+        with pytest.raises(InputError, match="count=0"):
+            default_target_poles(0)
 
     def test_numpy_scalars_are_accepted(self):
         cfg = DesignConfig(margin=np.float64(0.1), tol_rank=np.float64(1e-9),

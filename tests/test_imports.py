@@ -1,8 +1,8 @@
 """No piobs entry point or module loads scipy.
 
-``import piobs`` needs numpy alone, and so does every command: ranks,
-condition numbers, LU solves, the Sylvester candidates of pole placement,
-the Kalman decomposition basis, spectrum pairing and traces are numpy code.
+``import piobs`` needs numpy alone, and so does every command: ranks, the
+Sylvester candidates of pole placement, the Kalman decomposition basis,
+the coupling matrix, spectrum pairing and traces are numpy code.
 Each command runs in a fresh interpreter, which then must hold no scipy
 module, and a scan of the source keeps a lazy ``import scipy`` inside a
 function from coming back. scipy stays a test dependency, as an oracle.

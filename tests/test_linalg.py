@@ -10,7 +10,6 @@ from piobs.errors import (
     DimensionError,
     InputError,
     RankDeficiencyError,
-    SingularMatrixError,
 )
 
 
@@ -95,7 +94,7 @@ def ranked_matrices(draw):
 
 class TestSingularValues:
     """numpy's singular values are scipy's ``svdvals``, bit for bit, so ranks
-    and condition numbers did not change when scipy left these paths."""
+    did not change when scipy left these paths."""
 
     @settings(max_examples=200, deadline=None)
     @given(ranked_matrices())
@@ -105,68 +104,6 @@ class TestSingularValues:
         oracle = scipy.linalg.svdvals(M)
         assert np.array_equal(np.linalg.svd(M, compute_uv=False), oracle)
         assert linalg.numerical_rank(M) == np.count_nonzero(oracle > 1e-9 * oracle[0])
-        if M.shape[0] == M.shape[1] and oracle[0] > 0:
-            assert linalg.reciprocal_condition(M) == oracle[-1] / oracle[0]
-
-
-class TestSolve:
-    def test_identity(self, rng):
-        R = rng.standard_normal((2, 3))
-        assert linalg.solve(np.eye(2), R) == pytest.approx(R)
-
-    def test_diagonal_inverse(self):
-        got = linalg.solve([[2.0, 0.0], [0.0, 4.0]], np.eye(2))
-        assert got == pytest.approx(np.array([[0.5, 0.0], [0.0, 0.25]]))
-
-    def test_triangular_by_hand(self):
-        got = linalg.solve([[1.0, 2.0], [0.0, 1.0]], [[1.0], [1.0]])
-        assert got == pytest.approx(np.array([[-1.0], [1.0]]))
-
-    def test_residual_on_random_systems(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            M = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-            R = rng.standard_normal((n, int(rng.integers(1, 4))))
-            Y = linalg.solve(M, R)
-            res = np.abs(M @ Y - R).max()
-            assert res <= 1e-10 * max(1.0, np.abs(R).max())
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 4), st.floats(0.0, 13.0),
-           st.integers(0, 2**32 - 1))
-    def test_matches_scipy_lu_within_condition_scaled_tolerance(self, n, k, decades,
-                                                                 seed):
-        # numpy's solve + one refinement step against scipy's LU + one
-        # refinement step; condition numbers up to 1e13 reach the refusal.
-        import scipy.linalg
-
-        rng = np.random.default_rng(seed)
-        U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
-        M = U @ np.diag(np.logspace(0.0, -decades, n)) @ V.T
-        R = rng.standard_normal((n, k))
-        rcond = linalg.reciprocal_condition(M)
-        if rcond < linalg.DEFAULT_TOL_COND:
-            with pytest.raises(SingularMatrixError) as err:
-                linalg.solve(M, R)
-            assert err.value.rcond == rcond
-            return
-        lu = scipy.linalg.lu_factor(M)
-        oracle = scipy.linalg.lu_solve(lu, R)
-        oracle += scipy.linalg.lu_solve(lu, R - M @ oracle)
-        Y = linalg.solve(M, R)
-        eps = np.finfo(float).eps
-        assert np.abs(Y - oracle).max() <= 100 * eps / rcond * np.abs(oracle).max()
-        assert np.abs(M @ Y - R).max() <= 100 * n * eps * np.abs(Y).max()
-
-    def test_singular_matrix_raises_with_condition_estimate(self):
-        with pytest.raises(SingularMatrixError) as err:
-            linalg.solve([[1.0, 2.0], [2.0, 4.0]], np.eye(2))
-        assert err.value.rcond is not None
-        assert err.value.rcond < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.solve(np.eye(2), np.ones((3, 1)))
 
 
 class TestCompleteRowBasis:
