@@ -192,7 +192,7 @@ def classify_eigenvalues(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
 def is_detectable(A, C, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Detectability of (A, C): every unstable eigenvalue passes the PBH test."""
     cls = classify_eigenvalues(A, C, tol_rank)
-    witnesses = tuple(c.eigenvalue for c in cls if not c.stable and not c.observable)
+    witnesses = tuple([c.eigenvalue for c in cls if not c.stable and not c.observable])
     return DetectabilityVerdict(
         detectable=not witnesses,
         witnesses=witnesses,

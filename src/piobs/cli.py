@@ -158,7 +158,7 @@ def cmd_analyze(args):
           f"(observable dimension {doc['observable_dimension']} of {system.n})")
     if doc["witnesses"]:
         listing = ", ".join(
-            format_eigenvalue(complex(w[0], w[1])) for w in doc["witnesses"]
+            [format_eigenvalue(complex(w[0], w[1])) for w in doc["witnesses"]]
         )
         print(f"unstable unobservable eigenvalues: {listing}")
     if "decomposition" in doc:

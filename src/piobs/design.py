@@ -57,7 +57,7 @@ def default_target_poles(count):
     if count < 1:
         raise InputError(f"need at least one target pole, got count={count}")
     angles = np.pi * (2 * np.arange(count) + 1 - count) / (2 * count)
-    return tuple(complex(z) for z in 0.3 * np.exp(1j * angles))
+    return tuple((0.3 * np.exp(1j * angles)).tolist())
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class DesignConfig:
             for z in poles:
                 if not isinstance(z, numbers.Number) or isinstance(z, bool):
                     raise InputError(f"target pole {z!r} is not a number")
-            object.__setattr__(self, "target_poles", tuple(complex(z) for z in poles))
+            object.__setattr__(self, "target_poles", tuple([complex(z) for z in poles]))
 
     def resolved_target_poles(self, count):
         """Validated target poles for a block of ``count`` assignable modes."""
@@ -392,7 +392,7 @@ def stabilization_plan(A, C, config=None):
     q = dec.q
     targets = config.resolved_target_poles(q)
     analysis.observability_verdict(verdict.classifications, q)
-    inherited = tuple(complex(z) for z in dec.unobservable_eigenvalues)
+    inherited = tuple(dec.unobservable_eigenvalues.tolist())
     try:
         K = _placement_search(dec.A11, dec.C1, targets, config.seed)
         K = _lifted_plan(A, C, dec, K, targets, inherited, "pole placement")
@@ -401,7 +401,7 @@ def stabilization_plan(A, C, config=None):
             raise
         # Default poles are no promise: report what the Riccati gain achieves.
         K = _riccati_gain(dec.A11, dec.C1)
-        targets = tuple(complex(z) for z in linalg.eigenvalues(dec.A11 + K @ dec.C1))
+        targets = tuple(linalg.eigenvalues(dec.A11 + K @ dec.C1).tolist())
         K = _lifted_plan(A, C, dec, K, targets, inherited, "the Riccati gain")
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)
 
@@ -547,7 +547,7 @@ class VerificationReport:
 
     def failed_checks(self):
         """Names of every failed check, the spectrum-split diagnostic included."""
-        return tuple(name for name, (ok, _) in self.checks().items() if not ok)
+        return tuple([name for name, (ok, _) in self.checks().items() if not ok])
 
 
 def verify_design(observer, margin=None):
@@ -582,8 +582,8 @@ def verify_design(observer, margin=None):
         spectral_radius=radius,
         margin=float(margin),
         schur_ok=bool(radius < 1.0 - margin),
-        augmented_spectrum=tuple(complex(z) for z in aug_spec),
-        predicted_spectrum=tuple(complex(z) for z in predicted),
+        augmented_spectrum=tuple(aug_spec.tolist()),
+        predicted_spectrum=tuple(predicted.tolist()),
         spectrum_distance=float(distance),
         spectrum_ok=bool(distance <= observer.config.tol_eig),
         similarity_residual=sim_res,

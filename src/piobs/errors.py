@@ -33,8 +33,8 @@ class NotDetectableError(PiobsError):
     """
 
     def __init__(self, witnesses):
-        self.witnesses = tuple(complex(w) for w in witnesses)
-        listing = ", ".join(format_eigenvalue(w) for w in self.witnesses)
+        self.witnesses = tuple([complex(w) for w in witnesses])
+        listing = ", ".join([format_eigenvalue(w) for w in self.witnesses])
         super().__init__(
             f"pair (A, C) is not detectable: unstable unobservable "
             f"eigenvalue(s) {{{listing}}}"

@@ -26,6 +26,8 @@ DEFAULT_TOL_RANK = 1e-9
 DEFAULT_TOL_EIG = 1e-8
 #: Tolerance for conjugate-closure checks on spectra and pole sets.
 CONJUGATE_TOL = 1e-9
+#: Smallest accepted ``tol_rank``: below it rounding noise counts as rank.
+MACHINE_EPS = float(np.finfo(float).eps)
 #: Relative pivot threshold of the basis completion (see :func:`_pivot_columns`).
 PIVOT_RELAX = 0.25
 
@@ -36,9 +38,12 @@ def is_real(value):
 
 
 def check_tol_rank(tol_rank):
-    """Raise :class:`InputError` unless ``tol_rank`` is a real number in (0, 1)."""
+    """Raise :class:`InputError` unless ``tol_rank`` is a real number in [eps, 1)."""
     if not (is_real(tol_rank) and 0.0 < tol_rank < 1.0):
         raise InputError(f"tol_rank must be in (0, 1), got {tol_rank}")
+    if tol_rank < MACHINE_EPS:
+        raise InputError(f"tol_rank must be at least machine epsilon {MACHINE_EPS:.3g}, "
+                         f"got {tol_rank}")
 
 
 def check_seed(seed, name):

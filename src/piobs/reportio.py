@@ -67,7 +67,7 @@ def dumps_doc(obj, indent=0):
         parts = [dumps_doc(v, indent + 2) for v in obj]
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(f"{inner}{s}" for s in parts) + f"\n{pad}]"
+        return "[\n" + ",\n".join([f"{inner}{s}" for s in parts]) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to a report document")
 
 
@@ -268,7 +268,7 @@ def _poles_from_doc(poles, key):
     items = poles.get(key, [])
     if not isinstance(items, list):
         raise InputError(f"poles.{key}: expected an array of pairs, got {type(items).__name__}")
-    return tuple(complex_from_doc(item, f"poles.{key}") for item in items)
+    return tuple([complex_from_doc(item, f"poles.{key}") for item in items])
 
 
 def observer_from_report(system, doc):
@@ -419,7 +419,7 @@ def trace_csv_text(trace, comments, out):
         + ["err_inf", "v_inf"]
     )
     row = "%d," + ",".join([_FLOAT_FORMAT] * (2 * n + p + 2)) + "\n"
-    out.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n")
+    out.write("".join([f"# {line}\n" for line in comments]) + ",".join(header) + "\n")
     for start in range(0, trace.x.shape[0], _TRACE_BLOCK_ROWS):
         stop = start + _TRACE_BLOCK_ROWS
         block = np.column_stack([c[start:stop] for c in columns]).tolist()

@@ -35,7 +35,7 @@ class ZeroInput:
 
 def _values(value, name):
     """``value`` as a tuple of floats; :class:`InputError` for non-numeric entries."""
-    return tuple(float(v) for v in linalg._as_float(value, name).reshape(-1))
+    return tuple(linalg._as_float(value, name).reshape(-1).tolist())
 
 
 @dataclass(frozen=True)

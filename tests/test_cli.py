@@ -620,3 +620,46 @@ class TestBatch:
         assert captured.err == "piobs: error: margin must be in [0, 1), got nan\n"
         assert captured.out == ""
         assert not out_dir.exists()
+
+
+class TestTolRankBelowMachineEpsilon:
+    """C = [[1, 0, 0], [1, 1e-200, 0]] has full row rank only at a tol_rank
+    below 5e-201, where rounding noise counts as rank; a design there had
+    gains near 5e199. Every command refuses such a tol_rank before any file."""
+
+    @pytest.fixture
+    def tiny_file(self, tmp_path):
+        return self.write(tmp_path / "tiny.json", 1e-200)
+
+    @staticmethod
+    def write(path, c22):
+        path.write_text(json.dumps({"A": np.diag([0.5, 0.2, 0.1]).tolist(),
+                                    "B": [[1.0], [0.0], [0.0]],
+                                    "C": [[1.0, 0.0, 0.0], [1.0, c22, 0.0]]}))
+        return str(path)
+
+    def test_design_exits_3(self, tmp_path, tiny_file, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["design", tiny_file, "--tol-rank", "1e-300", "--out", str(out)]) == 3
+        assert "tol_rank must be at least machine epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_exits_3(self, tmp_path, tiny_file, capsys):
+        out_dir = tmp_path / "reports"
+        assert cli.main(["batch", tiny_file, "--tol-rank", "1e-300",
+                         "--out-dir", str(out_dir)]) == 3
+        assert "tol_rank must be at least machine epsilon" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_verify_of_a_report_at_that_tol_rank_exits_3(self, tmp_path, tiny_file, capsys):
+        # a design of the well-conditioned sibling, its tol_rank edited
+        report = tmp_path / "report.json"
+        sibling = self.write(tmp_path / "sibling.json", 1.0)
+        assert cli.main(["design", sibling, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["config"]["tol_rank"] = 1e-300
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "verification.json"
+        assert cli.main(["verify", tiny_file, str(report), "--out", str(out)]) == 3
+        assert "tol_rank must be at least machine epsilon" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,4 +1,6 @@
+import json
 import pathlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -778,3 +780,62 @@ class TestVerifyDesign:
         assert not report.spectrum_ok
         assert not report.similarity_ok
         assert "spectrum-split" in report.failed_checks()
+
+
+def assert_builtin_complex(values, reference):
+    """Each value is a built-in complex with the bits ``complex(z)`` gives the
+    matching ``z`` of ``reference`` (a numpy array or a sequence)."""
+    assert len(values) == len(reference)
+    for z, w in zip(values, reference):
+        assert type(z) is complex
+        w = complex(w)
+        assert struct.pack("<2d", z.real, z.imag) == struct.pack("<2d", w.real, w.imag)
+
+
+class TestSpectraAreBuiltinComplex:
+    """Spectra, poles and witnesses hold built-in ``complex``, never
+    ``numpy.complex128``, bit for bit the values numpy computed."""
+
+    @staticmethod
+    def check_observer(obs):
+        rep = obs.verification
+        assert_builtin_complex(rep.augmented_spectrum, linalg.eigenvalues(obs.augmented()))
+        assert_builtin_complex(rep.predicted_spectrum, obs.predicted_spectrum())
+        dec = analysis.kalman_decompose(obs.system.A, obs.system.C, obs.config.tol_rank)
+        assert_builtin_complex(obs.inherited_poles, dec.unobservable_eigenvalues)
+        text = reportio.dumps_doc(reportio.design_report_doc(obs, rep))
+        back = reportio.observer_from_report(obs.system, json.loads(text))
+        assert_builtin_complex(back.assigned_poles, obs.assigned_poles)
+        assert_builtin_complex(back.inherited_poles, obs.inherited_poles)
+        return dec
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 16])
+    def test_default_target_poles(self, count):
+        angles = np.pi * (2 * np.arange(count) + 1 - count) / (2 * count)
+        assert_builtin_complex(default_target_poles(count), 0.3 * np.exp(1j * angles))
+
+    def test_placement_path(self):
+        system = reportio.load_system(DATA / "unobservable4.system.json")
+        obs = design_pi_observer(system, DesignConfig(seed=5))
+        self.check_observer(obs)
+        assert_builtin_complex(obs.assigned_poles, default_target_poles(len(obs.assigned_poles)))
+
+    def test_riccati_path(self, bench_plants):
+        # an unobservable n = 24 plant whose default fan is not placed
+        plant = next(pl for pl in bench_plants.sweep_population(1, 0)
+                     if pl.name == "sweep-n24-4")
+        obs = design_pi_observer(SystemRealization(plant.A, plant.B, plant.C),
+                                 DesignConfig(seed=1))
+        dec = self.check_observer(obs)
+        assert obs.inherited_poles
+        achieved = linalg.eigenvalues(dec.A11 + _riccati_gain(dec.A11, dec.C1) @ dec.C1)
+        assert_builtin_complex(obs.assigned_poles, achieved)
+
+    def test_witnesses(self):
+        A, C = np.diag([0.5, 2.0]), np.array([[1.0, 0.0]])
+        spectrum = linalg.eigenvalues(A)
+        assert_builtin_complex(analysis.is_detectable(A, C).witnesses, spectrum[1:])
+        with pytest.raises(NotDetectableError) as info:
+            design_pi_observer((A, np.ones((2, 1)), C))
+        assert_builtin_complex(info.value.witnesses, spectrum[1:])
+        assert_builtin_complex(NotDetectableError(spectrum).witnesses, spectrum)

@@ -70,6 +70,15 @@ class TestNumericalRank:
         with pytest.raises(InputError, match=r"tol_rank must be in \(0, 1\)"):
             linalg.numerical_rank(np.eye(2), tol_rank=tol_rank)
 
+    @pytest.mark.parametrize("tol_rank", [1e-300, 5e-324, np.finfo(float).eps / 2])
+    def test_rejects_tolerance_below_machine_epsilon(self, tol_rank):
+        # a singular value of rounding size would count as rank
+        with pytest.raises(InputError, match="at least machine epsilon"):
+            linalg.numerical_rank(np.eye(2), tol_rank=tol_rank)
+
+    def test_accepts_machine_epsilon(self):
+        assert linalg.numerical_rank(np.eye(2), tol_rank=np.finfo(float).eps) == 2
+
 
 @st.composite
 def ranked_matrices(draw):

@@ -3,6 +3,7 @@
 
     python3 tools/footprint.py
     python3 tools/footprint.py --root ../other-checkout --repeat 5
+    python3 tools/footprint.py --designs 5000 [--root ../other-checkout]
 
 Each command runs on the plants of ``tests/data`` in a fresh interpreter,
 with ``src/`` of the checkout at ``--root`` (default: this one) on the path
@@ -14,6 +15,17 @@ library that ``main`` loaded on top of the import, so a lazy import shows up
 by name (a subpackage with the count of its modules, as ``numpy.ma[3]``).
 Each command runs ``--repeat`` times; the row keeps the smallest RSS and
 times, and the module list of the first run.
+
+``--designs N`` measures memory per design instead: one fresh interpreter
+designs the n <= 16 plants of ``plants.sweep_population(1, 0)`` and
+``(1, 1)`` of the benchmark (``perfbench/plants.py``, imported, never
+edited) at ``DesignConfig(seed=1)``, round trips each report through
+``dumps_doc``, ``json.loads`` and ``observer_from_report`` (or writes the
+infeasible report), and repeats the plants until N designs are done. It
+reads ``RssAnon`` of ``/proc/self/status`` after one warm-up pass and after
+the N designs, and prints the growth in MB and in MB per 1 000 designs. A
+design path that keeps its memory flat grows by a fraction of 1 MB
+whatever N is.
 """
 
 import argparse
@@ -44,6 +56,36 @@ print(json.dumps({"exit": code, "rss_mb": rss_mb, "import_ms": 1e3 * (t1 - t0),
 """
 
 
+#: Runs in the fresh interpreter: argv[1] is the number of designs.
+DESIGNS_CHILD = """\
+import itertools, json, sys
+import piobs, plants
+from piobs import reportio
+
+def rss_anon_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssAnon:"))
+
+def design(plant):
+    system = piobs.SystemRealization(plant.A, plant.B, plant.C, name=plant.name)
+    try:
+        obs = piobs.design_pi_observer(system, piobs.DesignConfig(seed=1))
+    except piobs.NotDetectableError as exc:
+        reportio.dumps_doc(reportio.infeasible_report_doc(system, exc.witnesses))
+        return
+    text = reportio.dumps_doc(reportio.design_report_doc(obs, obs.verification))
+    reportio.observer_from_report(system, json.loads(text))
+
+small = [pl for k in (0, 1) for pl in plants.sweep_population(1, k) if pl.n <= 16]
+for plant in small:
+    design(plant)
+before = rss_anon_kb()
+for plant in itertools.islice(itertools.cycle(small), int(sys.argv[1])):
+    design(plant)
+print(json.dumps({"plants": len(small), "before_kb": before, "after_kb": rss_anon_kb()}))
+"""
+
+
 def commands(data, work, horizon):
     """(label, argv) of each command, on the committed plants and design."""
     obs, unobs, misjudged = (str(data / f"{s}.system.json")
@@ -63,11 +105,11 @@ def commands(data, work, horizon):
     ]
 
 
-def measure(argv, root, cwd):
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def measure(argv, root, cwd, child=CHILD, paths=()):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), *paths]))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(name, "1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", child, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
         raise RuntimeError(f"{argv[0]} crashed:\n{proc.stderr}")
@@ -91,7 +133,19 @@ def main(argv=None):
     parser.add_argument("--horizon", type=int, default=200,
                         help="simulate horizon; observable5 is unstable and "
                              "overflows at step 205")
+    parser.add_argument("--designs", type=int, metavar="N",
+                        help="measure RssAnon growth over N designs instead")
     args = parser.parse_args(argv)
+    if args.designs is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            run = measure([str(args.designs)], args.root.resolve(), tmp, DESIGNS_CHILD,
+                          [str(ROOT / "perfbench")])
+        growth = (run["after_kb"] - run["before_kb"]) / 1024
+        print(f"{args.designs} designs over {run['plants']} plants (n <= 16): RssAnon "
+              f"{run['before_kb'] / 1024:.2f} -> {run['after_kb'] / 1024:.2f} MB, "
+              f"growth {growth:+.2f} MB, {1000 * growth / max(args.designs, 1):+.3f} MB "
+              "per 1000 designs")
+        return
     print(f"{'command':<24} {'exit':>4} {'peak MB':>8} {'import ms':>9} {'main ms':>8}  "
           "modules loaded by main")
     with tempfile.TemporaryDirectory() as tmp:
