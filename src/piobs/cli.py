@@ -103,7 +103,7 @@ def build_parser():
     p.add_argument("--step-onset", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=sim.DEFAULT_CONVERGENCE_TOL,
-                   help="convergence threshold on max(err_inf, v_inf)")
+                   help="convergence threshold on max(err_inf, v_inf) / max(1, |x|_inf)")
     p.add_argument("--out", default=None,
                    help="write the trace CSV here (default: stdout)")
     p.set_defaults(func=cmd_simulate)

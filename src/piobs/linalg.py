@@ -28,7 +28,7 @@ DEFAULT_TOL_EIG = 1e-8
 CONJUGATE_TOL = 1e-9
 #: Smallest accepted ``tol_rank``: below it rounding noise counts as rank.
 MACHINE_EPS = float(np.finfo(float).eps)
-#: Relative pivot threshold of the basis completion (see :func:`_pivot_columns`).
+#: Relative pivot threshold of the basis completion (see :func:`complete_row_basis`).
 PIVOT_RELAX = 0.25
 
 
@@ -176,47 +176,28 @@ def complete_row_basis(C, tol_rank=DEFAULT_TOL_RANK):
 
     The first p rows of T are exactly C; the remaining rows are standard
     basis vectors at the non-pivot columns of C, so ``[I_p, 0] @ T == C``
-    holds exactly. Pivot columns are found by row-echelon elimination with
-    threshold column pivoting: the leftmost column whose pivot is within a
-    constant factor of the best available one wins, which keeps the result
-    deterministic and integer-friendly without letting T become badly
-    conditioned. T is nonsingular exactly when its pivot columns ``C_P`` are,
-    and every pivot exceeds the negligible threshold; how well T is
-    conditioned is left to the phi-identity check of a design.
+    holds exactly. The rank of C is :func:`numerical_rank`'s, the loader's
+    rule: below p it is a :class:`RankDeficiencyError`. The pivot columns P
+    come from the right singular vectors ``V^T[:p]`` of C by column-pivoted
+    Gram-Schmidt (Golub, Klema & Stewart 1976): each step takes the leftmost
+    column whose residual norm is at least ``PIVOT_RELAX`` times the largest
+    and removes its direction from the rest. How well ``C_P`` is conditioned
+    is left to the phi-identity check of a design.
     """
     C = as_matrix(C, "complete_row_basis: C")
     p, n = C.shape
-    pivots = _pivot_columns(C, tol_rank)
-    if len(pivots) < p:
-        raise RankDeficiencyError(
-            f"C must have full row rank {p}, numerical elimination found rank {len(pivots)}"
-        )
-    return np.vstack([C, np.delete(np.eye(n), pivots, axis=0)])
-
-
-def _pivot_columns(C, tol_rank):
-    """Pivot column indices of C via elimination with threshold column pivoting.
-
-    ``PIVOT_RELAX`` is the fraction of the best available pivot magnitude a
-    more leftward column may have and still be preferred.
-    """
-    R = C.astype(float, copy=True)
-    p, n = R.shape
-    negligible = tol_rank * max(1.0, float(np.max(np.abs(R))))
+    rank = numerical_rank(C, tol_rank)
+    if rank < p:
+        raise RankDeficiencyError(f"C must have full row rank {p}, got numerical rank {rank}")
+    W = np.linalg.svd(C, full_matrices=False)[2]
     pivots = []
-    remaining = list(range(n))
-    for r in range(min(p, n)):
-        mags = np.abs(R[r:, remaining]).max(axis=0)
-        best = float(mags.max())
-        if best <= negligible:
-            break
-        j = remaining[int(np.argmax(mags >= max(PIVOT_RELAX * best, negligible)))]
-        i = r + int(np.argmax(np.abs(R[r:, j])))
-        R[[r, i]] = R[[i, r]]
-        R[r + 1:] -= np.outer(R[r + 1:, j] / R[r, j], R[r])
+    for _ in range(p):
+        norms = np.linalg.norm(W, axis=0)
+        j = int(np.argmax(norms >= PIVOT_RELAX * norms.max()))
+        w = W[:, j] / norms[j]
+        W = W - np.outer(w, w @ W)
         pivots.append(j)
-        remaining.remove(j)
-    return sorted(pivots)
+    return np.vstack([C, np.delete(np.eye(n), pivots, axis=0)])
 
 
 def pairing_distance(a, b):

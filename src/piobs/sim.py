@@ -22,7 +22,7 @@ OVERFLOW_LIMIT = 1e12
 DEFAULT_CONVERGENCE_TOL = 1e-6
 #: Rows per block of ``error_dynamics_check``; consecutive blocks share one row.
 _CHECK_BLOCK_ROWS = 257
-#: Rows per slice of ``xhat - x`` when ``run_simulation`` reduces ``err_inf``.
+#: Rows per slice when ``run_simulation`` reduces ``err_inf`` and ``||x||_inf``.
 _NORM_BLOCK_ROWS = 256
 #: First step of the ``fit_decay_rate`` window; the window ends at the horizon.
 _FIT_START = 10
@@ -125,8 +125,8 @@ class SimulationTrace:
     and the two norm rows ``err_inf`` and ``v_inf``. ``e = xhat - x`` is
     computed on each access.
     ``converged_step`` is the first k with max(||e||_inf, ||v||_inf) at or
-    below the tolerance (None if never), and ``tail_converged`` says whether
-    it stays there for the rest of the run.
+    below the tolerance times max(1, ||x(k)||_inf) (None if never), and
+    ``tail_converged`` says whether it stays there for the rest of the run.
     """
 
     x: np.ndarray
@@ -224,12 +224,14 @@ def run_simulation(system, observer, config=None):
         raise SimulationDivergenceError(step=abort, norm=worst, limit=OVERFLOW_LIMIT)
 
     err_inf = np.empty(X.shape[0])
+    x_inf = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _NORM_BLOCK_ROWS):
         stop = start + _NORM_BLOCK_ROWS
         err_inf[start:stop] = _row_max_abs(Xh[start:stop] - X[start:stop])
+        x_inf[start:stop] = _row_max_abs(X[start:stop])
     v_inf = _row_max_abs(V)
     joint = np.maximum(err_inf, v_inf)
-    below = joint <= config.convergence_tol
+    below = joint <= config.convergence_tol * np.maximum(1.0, x_inf)
     converged_step = int(np.argmax(below)) if below.any() else None
     tail = bool(below[converged_step:].all()) if converged_step is not None else None
     return SimulationTrace(

@@ -178,6 +178,18 @@ class TestDesign:
         assert err.value.code == 3
         assert message in capsys.readouterr().err
 
+    def test_output_matrix_the_loader_accepts_never_exits_3(self, tmp_path, capsys):
+        # A C with sigma_p / sigma_1 = 1.09e-9, full row rank at the default
+        # tol_rank: the design is kept (0) or refused by verification (4).
+        C = json.loads((DATA / "rank_stress_refused.json").read_text())["cases"][0]["C"]
+        n = len(C[0])
+        path = tmp_path / "faint.json"
+        path.write_text(json.dumps({"A": (0.5 * np.eye(n)).tolist(),
+                                    "B": [[0.0]] * n, "C": C}))
+        status = cli.main(["design", str(path), "--out", str(tmp_path / "r.json")])
+        assert status in (0, 4)
+        assert "full row rank" not in capsys.readouterr().err
+
     def test_wrong_pole_count_exits_3(self, undetectable_file, tmp_path, capsys):
         path = tmp_path / "sys.json"
         path.write_text(

@@ -472,6 +472,22 @@ class TestDesignPipeline:
         closed = linalg.eigenvalues(system.A + obs.K @ system.C)
         assert linalg.pairing_distance(closed, obs.assigned_poles) <= 1e-6
 
+    @pytest.mark.parametrize("case", json.loads(
+        (DATA / "rank_stress_refused.json").read_text())["cases"], ids=lambda c: str(c["case"]))
+    def test_c_the_loader_accepts_is_completed_and_judged_by_the_gate(self, case):
+        # sigma_p / sigma_1 of 1.04e-9 to 1.73e-9: full row rank to the loader
+        # at the default tol_rank 1e-9. The completion must agree, and the
+        # design is then kept or refused by verification (exit 4), never
+        # called rank deficient (exit 3).
+        C = np.array(case["C"])
+        p, n = C.shape
+        system = SystemRealization(0.5 * np.eye(n), np.zeros((n, 1)), C)
+        assert np.array_equal(linalg.complete_row_basis(C)[:p], C)
+        try:
+            design_pi_observer(system)
+        except NumericalError as exc:
+            assert str(exc).startswith("designed observer failed verification")
+
     def test_nearly_rank_deficient_output_keeps_the_inherited_split(self):
         # Two nearly parallel sensors on an exactly hidden block. Where
         # sigma_2(C) / sigma_1(C) = 5e-8 falls below the staircase cut, the

@@ -68,7 +68,7 @@ class TestKernelAgreement:
             assert np.abs(trace.xhat - Xh).max() <= 1e-9 * scale
             assert np.abs(trace.v - V).max() <= 1e-9 * scale
             joint = np.maximum(np.abs(Xh - X).max(axis=1), np.abs(V).max(axis=1))
-            below = joint <= config.convergence_tol
+            below = joint <= config.convergence_tol * np.maximum(1.0, np.abs(X).max(axis=1))
             assert trace.converged_step == (int(np.argmax(below)) if below.any() else None)
 
     def test_doubling_plant_aborts_at_step_40(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from piobs import analysis, linalg
+from piobs import SystemRealization, analysis, linalg
 from piobs.errors import (
     DimensionError,
     InputError,
@@ -144,6 +144,47 @@ class TestCompleteRowBasis:
     def test_rank_deficient_input_rejected(self):
         with pytest.raises(RankDeficiencyError):
             linalg.complete_row_basis([[1.0, 2.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("tol_rank", [-1.0, float("nan"), 0.0, 5.0, 1e-300])
+    def test_bad_tol_rank_is_an_input_error(self, tol_rank):
+        # Not a singular T "completed" from the rank-1 C, and not a rank
+        # verdict reached at a tolerance that is itself out of range.
+        with pytest.raises(InputError, match="tol_rank") as info:
+            linalg.complete_row_basis([[1.0, 2.0], [2.0, 4.0]], tol_rank)
+        assert not isinstance(info.value, RankDeficiencyError)
+
+    def test_pivots_depend_only_on_the_row_space(self, rng):
+        # The pivots come from an orthonormal basis of the row space of C,
+        # so C and M C, for an invertible M, leave the same free rows.
+        for _ in range(50):
+            n = int(rng.integers(2, 13))
+            p = int(rng.integers(1, n + 1))
+            C = rng.standard_normal((p, n))
+            M = (np.linalg.qr(rng.standard_normal((p, p)))[0]
+                 @ np.diag(rng.uniform(0.5, 2.0, p)) @ np.linalg.qr(rng.standard_normal((p, p)))[0])
+            assert np.array_equal(linalg.complete_row_basis(C)[p:],
+                                  linalg.complete_row_basis(M @ C)[p:])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    @pytest.mark.parametrize("ratio, full", [(1.001e-9, True), (0.999e-9, False)])
+    def test_completion_takes_the_rank_rule_of_the_loader(self, scale, ratio, full):
+        # sigma_3 / sigma_1 just above and just below tol_rank = 1e-9: the
+        # loader and the completion accept C together or refuse it together,
+        # whatever the scale of C.
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((7, 3)))[0]
+        C = scale * U @ np.diag([1.0, 0.3, ratio]) @ V.T
+
+        def accepts(build):
+            try:
+                build()
+            except RankDeficiencyError:
+                return False
+            return True
+
+        assert accepts(lambda: SystemRealization(np.eye(7), np.zeros((7, 1)), C)) is full
+        assert accepts(lambda: linalg.complete_row_basis(C)) is full
 
 
 class TestPolynomialsAndPairing:

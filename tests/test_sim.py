@@ -1,3 +1,4 @@
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -15,12 +16,15 @@ from piobs import (
     SystemRealization,
     ZeroInput,
     design_pi_observer,
+    reportio,
     run_simulation,
     step_observer,
     step_plant,
 )
 from piobs.errors import DimensionError, InputError
 from piobs.sim import _median, build_input, error_dynamics_check, fit_decay_rate
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestSteps:
@@ -184,6 +188,18 @@ class TestRunSimulation:
         assert np.abs(trace.x[-1]) > 1e9  # plant state blew up
         assert trace.converged_step is not None  # estimation error did not
         assert trace.err_inf[-1] <= 1e-6
+
+    def test_convergence_is_relative_to_the_plant_state(self):
+        # An unstable plant whose state reaches ~5.6e11: the observer error
+        # sits at the rounding floor ~eps * |x|, far above the absolute 1e-6,
+        # yet it has converged relative to max(1, ||x(k)||_inf).
+        system = reportio.load_system(DATA / "observable5.system.json")
+        observer = reportio.observer_from_report(
+            system, reportio.load_report(DATA / "observable5.design-seed5.json"))
+        trace = run_simulation(system, observer, SimulationConfig(
+            horizon=200, input_signal=RandomInput(seed=5)))
+        assert trace.err_inf[-1] > 1e-6
+        assert (trace.converged_step, trace.tail_converged) == (18, True)
 
     def test_overflow_aborts_with_step_diagnostic(self):
         system = SystemRealization(A=[[2.0]], B=[[1.0]], C=[[1.0]])
