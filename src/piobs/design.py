@@ -602,11 +602,17 @@ def design_pi_observer(system, config=None):
     breaks down (ambiguous observability, a q < n plan that misses its
     poles and failed verification included); nothing else. The returned
     observer has passed the one gate, :attr:`VerificationReport.passed`;
-    that report is its ``verification``.
+    that report is its ``verification``. The rank of C is decided at
+    ``config.tol_rank`` only: a tuple ``(A, B, C)`` is loaded at it, and a
+    :class:`SystemRealization` loaded at another ``tol_rank`` is an
+    :class:`InputError`.
     """
-    if not isinstance(system, SystemRealization):
-        system = SystemRealization(*system)
     config = config or DesignConfig()
+    if not isinstance(system, SystemRealization):
+        system = SystemRealization(*system, tol_rank=config.tol_rank)
+    elif system.tol_rank != config.tol_rank:
+        raise InputError(f"system was loaded at tol_rank {system.tol_rank}, "
+                         f"but the design uses tol_rank {config.tol_rank}")
     A, C = system.A, system.C
     n, p = system.n, system.p
 

@@ -181,8 +181,10 @@ def complete_row_basis(C, tol_rank=DEFAULT_TOL_RANK):
     come from the right singular vectors ``V^T[:p]`` of C by column-pivoted
     Gram-Schmidt (Golub, Klema & Stewart 1976): each step takes the leftmost
     column whose residual norm is at least ``PIVOT_RELAX`` times the largest
-    and removes its direction from the rest. How well ``C_P`` is conditioned
-    is left to the phi-identity check of a design.
+    and removes its direction from the rest. The comparison has a slack of
+    8 ulp, so an exact tie such as ``C = [[1, 4]]`` goes to the leftmost
+    column whatever the last bit of the SVD. How well ``C_P`` is
+    conditioned is left to the phi-identity check of a design.
     """
     C = as_matrix(C, "complete_row_basis: C")
     p, n = C.shape
@@ -193,7 +195,7 @@ def complete_row_basis(C, tol_rank=DEFAULT_TOL_RANK):
     pivots = []
     for _ in range(p):
         norms = np.linalg.norm(W, axis=0)
-        j = int(np.argmax(norms >= PIVOT_RELAX * norms.max()))
+        j = int(np.argmax(norms >= PIVOT_RELAX * norms.max() * (1.0 - 8.0 * MACHINE_EPS)))
         w = W[:, j] / norms[j]
         W = W - np.outer(w, w @ W)
         pivots.append(j)

@@ -22,7 +22,7 @@ OVERFLOW_LIMIT = 1e12
 DEFAULT_CONVERGENCE_TOL = 1e-6
 #: Rows per block of ``error_dynamics_check``; consecutive blocks share one row.
 _CHECK_BLOCK_ROWS = 257
-#: Rows per slice when ``run_simulation`` reduces ``err_inf`` and ``||x||_inf``.
+#: Rows per slice of ``xhat - x`` when ``run_simulation`` reduces ``err_inf``.
 _NORM_BLOCK_ROWS = 256
 #: First step of the ``fit_decay_rate`` window; the window ends at the horizon.
 _FIT_START = 10
@@ -224,11 +224,10 @@ def run_simulation(system, observer, config=None):
         raise SimulationDivergenceError(step=abort, norm=worst, limit=OVERFLOW_LIMIT)
 
     err_inf = np.empty(X.shape[0])
-    x_inf = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _NORM_BLOCK_ROWS):
         stop = start + _NORM_BLOCK_ROWS
         err_inf[start:stop] = _row_max_abs(Xh[start:stop] - X[start:stop])
-        x_inf[start:stop] = _row_max_abs(X[start:stop])
+    x_inf = _row_max_abs(X)
     v_inf = _row_max_abs(V)
     joint = np.maximum(err_inf, v_inf)
     below = joint <= config.convergence_tol * np.maximum(1.0, x_inf)

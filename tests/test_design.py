@@ -394,7 +394,8 @@ class TestDesignPipeline:
         A, C = np.diag([0.5, 0.5 + 1e-8]), [[1.0, 10.0]]
         config = DesignConfig(tol_rank=3e-10)
         assert analysis.observable_dimension(A, C, config.tol_rank) == 1
-        obs = design_pi_observer(SystemRealization(A=A, B=np.ones((2, 1)), C=C), config)
+        obs = design_pi_observer(
+            SystemRealization(A=A, B=np.ones((2, 1)), C=C, tol_rank=config.tol_rank), config)
         assert obs.verification.passed
         assert len(obs.assigned_poles) == len(obs.inherited_poles) == 1
         assert abs(obs.inherited_poles[0] - 0.5) <= 1e-7
@@ -487,6 +488,21 @@ class TestDesignPipeline:
             design_pi_observer(system)
         except NumericalError as exc:
             assert str(exc).startswith("designed observer failed verification")
+
+    def test_rank_of_c_is_decided_at_the_design_tol_rank_only(self):
+        # sigma_2 / sigma_1 = 2e-11: full row rank at tol_rank 1e-12, not at
+        # the default 1e-9. A system loaded at one tolerance is not designed
+        # at the other, so the loader's verdict on C is the completion's.
+        A, B, C = np.diag([0.5, 0.2]), np.ones((2, 1)), [[1.0, 2.0], [0.0, 1e-10]]
+        system = SystemRealization(A, B, C, tol_rank=1e-12)
+        with pytest.raises(InputError, match="tol_rank") as info:
+            design_pi_observer(system)
+        assert not isinstance(info.value, RankDeficiencyError)
+        config = DesignConfig(tol_rank=1e-12)
+        assert design_pi_observer(system, config).verification.passed
+        assert design_pi_observer((A, B, C), config).verification.passed
+        with pytest.raises(RankDeficiencyError):
+            design_pi_observer((A, B, C))
 
     def test_nearly_rank_deficient_output_keeps_the_inherited_split(self):
         # Two nearly parallel sensors on an exactly hidden block. Where

@@ -129,6 +129,17 @@ class TestCompleteRowBasis:
         assert np.array_equal(T, [[1.0, 2.0], [0.0, 1.0]])
         assert np.linalg.det(T) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("C, free", [
+        ([[1.0, 4.0]], [[0.0, 1.0]]),
+        ([[-1.0, 4.0]], [[0.0, 1.0]]),
+        ([[4.0, 1.0]], [[0.0, 1.0]]),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 4.0]], [[0.0, 0.0, 1.0]]),
+    ])
+    def test_exact_relax_tie_goes_to_the_leftmost_column(self, C, free):
+        # |c_j| = PIVOT_RELAX |c_k| exactly: the pivot is column j whatever
+        # the last bit of the singular vectors.
+        assert np.array_equal(linalg.complete_row_basis(C)[len(C):], free)
+
     def test_random_completions_satisfy_invariants(self, rng):
         basis_rows = set(map(tuple, np.eye(8)))
         for _ in range(50):

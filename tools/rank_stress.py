@@ -2,11 +2,11 @@
 """Rank rule and conditioning of the basis completion on a seeded stress set of C.
 
     python3 tools/rank_stress.py
-    python3 tools/rank_stress.py --root ../other-checkout --cases 3000 --seed 20261020
+    python3 tools/rank_stress.py --root ../other-checkout
     python3 tools/rank_stress.py --refused
 
-The stress set is drawn from ``numpy.random.default_rng(--seed)``, one case
-after another: n uniform in 2..64, p uniform in 1..min(n, 8), d uniform in
+The stress set is ``CASES`` cases drawn from
+``numpy.random.default_rng(SEED)``, one case after another: n uniform in 2..64, p uniform in 1..min(n, 8), d uniform in
 [0, 10), and ``C = U diag(logspace(0, -d, p)) V^T`` with orthonormal U
 (p x p) and V (n x p) taken from the QR factors of standard normal
 matrices, so sigma_p / sigma_1 = 10^-d falls below the default ``tol_rank``
@@ -36,14 +36,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Size and seed of the stress set; every published figure uses these.
+CASES = 3000
+SEED = 20261020
 
 
-def stress_set(cases, seed):
+def stress_set():
     """Yield ``(n, p, C, lam)`` for each case of the seeded stress set."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    for i in range(cases):
+    rng = np.random.default_rng(SEED)
+    for i in range(CASES):
         n = int(rng.integers(2, 65))
         p = int(rng.integers(1, min(n, 8) + 1))
         d = float(rng.uniform(0.0, 10.0))
@@ -54,7 +57,7 @@ def stress_set(cases, seed):
         yield n, p, C, lam
 
 
-def run(root, cases, seed, list_refused):
+def run(root, list_refused):
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     sys.path.insert(0, str(Path(root).resolve() / "src"))
@@ -63,7 +66,7 @@ def run(root, cases, seed, list_refused):
 
     accepted = refused = passed = 0
     ratios = []
-    for i, (n, p, C, lam) in enumerate(stress_set(cases, seed)):
+    for i, (n, p, C, lam) in enumerate(stress_set()):
         try:
             SystemRealization(0.5 * np.eye(n), np.zeros((n, 1)), C)
         except RankDeficiencyError:
@@ -87,7 +90,7 @@ def run(root, cases, seed, list_refused):
             continue
         passed += np.abs(-C @ X + np.eye(p) - phi).max() <= design.PHI_IDENTITY_TOL
     ratios = np.array(ratios)
-    print(f"cases {cases} (seed {seed})")
+    print(f"cases {CASES} (seed {SEED})")
     print(f"loader-accepted {accepted}")
     print(f"completion refusals {refused}")
     print(f"phi-gate passes {passed}")
@@ -99,8 +102,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(ROOT),
                         help="checkout whose src/ is imported (default: this one)")
-    parser.add_argument("--cases", type=int, default=3000, help="default %(default)s")
-    parser.add_argument("--seed", type=int, default=20261020, help="default %(default)s")
     parser.add_argument("--refused", action="store_true", help="list each refused case")
     args = parser.parse_args()
-    run(args.root, args.cases, args.seed, args.refused)
+    run(args.root, args.refused)
