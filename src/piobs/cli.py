@@ -126,6 +126,7 @@ def build_parser():
 
 
 def _config_from_args(args):
+    linalg.check_tol_rank(args.tol_rank)  # refused once, before any system is read
     phi, lam = args.phi_scalar, None
     if args.phi_file is not None:
         phi = reportio.load_matrix(args.phi_file, "phi")
@@ -136,7 +137,6 @@ def _config_from_args(args):
         phi=phi,
         lambda_block=lam,
         margin=args.margin,
-        tol_rank=args.tol_rank,
         tol_eig=args.tol_eig,
         seed=args.seed,
     )
@@ -144,7 +144,7 @@ def _config_from_args(args):
 
 def cmd_analyze(args):
     system = reportio.load_system(args.system, tol_rank=args.tol_rank)
-    doc = reportio.analysis_report_doc(system, tol_rank=args.tol_rank)
+    doc = reportio.analysis_report_doc(system)
     name = system.name or args.system
     print(f"system {name}: n={system.n}, m={system.m}, p={system.p}")
     print(f"{'eigenvalue':>24}  {'magnitude':>12}  {'stable':>6}  {'observable':>10}")
@@ -171,13 +171,13 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _design_file(path, config, out):
-    """Design for the system file ``path``, report to ``out`` or stdout; exit 0 or 2."""
-    system = reportio.load_system(path, tol_rank=config.tol_rank)
+def _design_file(path, config, tol_rank, out):
+    """Design for ``path`` loaded at ``tol_rank``, report to ``out`` or stdout; exit 0 or 2."""
+    system = reportio.load_system(path, tol_rank=tol_rank)
     try:
         observer = design_mod.design_pi_observer(system, config)
     except NotDetectableError as exc:
-        doc = reportio.infeasible_report_doc(system, exc.witnesses, config.tol_rank)
+        doc = reportio.infeasible_report_doc(system, exc.witnesses)
         if out:
             reportio.write_doc(doc, out)
         else:
@@ -195,7 +195,7 @@ def _design_file(path, config, out):
 
 
 def cmd_design(args):
-    return _design_file(args.system, _config_from_args(args), args.out)
+    return _design_file(args.system, _config_from_args(args), args.tol_rank, args.out)
 
 
 def _input_signal_from_args(args, m):
@@ -227,7 +227,7 @@ def cmd_simulate(args):
     summary = (f"converged_step={converged} tail_converged={trace.tail_converged} "
                f"decay_rate={rate:.6g} tol={args.tol:g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with reportio.path_errors(args.out, "write"), open(args.out, "w", encoding="utf-8") as fh:
             reportio.trace_csv_text(trace, [summary], fh)
         print(summary)
     else:
@@ -264,11 +264,12 @@ def cmd_batch(args):
             if report_path in reports[:i]:
                 first = args.systems[reports.index(report_path)]
                 raise InputError(f"{first} and {args.systems[i]} would both write {report_path}")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with reportio.path_errors(out_dir, "write"):
+            out_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for path, report_path in zip(args.systems, reports):
         try:
-            status = _design_file(path, config, report_path)
+            status = _design_file(path, config, args.tol_rank, report_path)
             note = "feasible" if status == EXIT_OK else "infeasible"
         except PiobsError as exc:
             status = _status_for(exc)

@@ -72,20 +72,18 @@ class DesignConfig:
     coupling matrix. ``seed`` feeds the random draws of the Sylvester
     placement (the p = 1 gain is unique, so there only its rounding moves);
     ``tol_eig`` is the pairing tolerance for spectrum comparisons during
-    verification.
+    verification. Ranks are taken at the system's ``tol_rank``.
     """
 
     target_poles: tuple = None
     phi: object = None
     lambda_block: object = None
     margin: float = DEFAULT_MARGIN
-    tol_rank: float = linalg.DEFAULT_TOL_RANK
     tol_eig: float = linalg.DEFAULT_TOL_EIG
     seed: int = 0
 
     def __post_init__(self):
         analysis.check_margin(self.margin)
-        linalg.check_tol_rank(self.tol_rank)
         if not (linalg.is_real(self.tol_eig) and 0.0 <= self.tol_eig < np.inf):
             raise InputError(f"tol_eig must be finite and nonnegative, got {self.tol_eig}")
         linalg.check_seed(self.seed, "seed")
@@ -241,7 +239,7 @@ def place_poles(A, C, target_poles, tol_rank=linalg.DEFAULT_TOL_RANK, seed=0):
     ``seed`` raises :class:`InputError`.
     """
     A, C = analysis.check_pair(A, C)
-    config = DesignConfig(target_poles=target_poles, tol_rank=tol_rank, seed=seed)
+    config = DesignConfig(target_poles=target_poles, seed=seed)
     targets = config.resolved_target_poles(A.shape[0])
     if not analysis.is_observable(A, C, tol_rank):
         raise NotObservableError(
@@ -369,7 +367,7 @@ class GainPlan:
     inherited_poles: tuple
 
 
-def stabilization_plan(A, C, config=None):
+def stabilization_plan(A, C, config=None, tol_rank=linalg.DEFAULT_TOL_RANK):
     """Gain K making A + KC Schur stable, with assigned/inherited pole split.
 
     PBH decides existence, the observability decomposition gives q and the
@@ -385,10 +383,10 @@ def stabilization_plan(A, C, config=None):
     """
     config = config or DesignConfig()
     A, C = analysis.check_pair(A, C)
-    verdict = analysis.is_detectable(A, C, config.tol_rank)
+    verdict = analysis.is_detectable(A, C, tol_rank)
     if not verdict:
         raise NotDetectableError(verdict.witnesses)
-    dec = analysis.kalman_decompose(A, C, config.tol_rank)
+    dec = analysis.kalman_decompose(A, C, tol_rank)
     q = dec.q
     targets = config.resolved_target_poles(q)
     analysis.observability_verdict(verdict.classifications, q)
@@ -602,26 +600,22 @@ def design_pi_observer(system, config=None):
     breaks down (ambiguous observability, a q < n plan that misses its
     poles and failed verification included); nothing else. The returned
     observer has passed the one gate, :attr:`VerificationReport.passed`;
-    that report is its ``verification``. The rank of C is decided at
-    ``config.tol_rank`` only: a tuple ``(A, B, C)`` is loaded at it, and a
-    :class:`SystemRealization` loaded at another ``tol_rank`` is an
-    :class:`InputError`.
+    that report is its ``verification``. Every rank decision (PBH, the
+    observable dimension, the full row rank of C) is taken at
+    ``system.tol_rank``; a tuple ``(A, B, C)`` is loaded at the default.
     """
     config = config or DesignConfig()
     if not isinstance(system, SystemRealization):
-        system = SystemRealization(*system, tol_rank=config.tol_rank)
-    elif system.tol_rank != config.tol_rank:
-        raise InputError(f"system was loaded at tol_rank {system.tol_rank}, "
-                         f"but the design uses tol_rank {config.tol_rank}")
+        system = SystemRealization(*system)
     A, C = system.A, system.C
     n, p = system.n, system.p
 
     phi = config.resolved_phi(p)
     lam = config.resolved_lambda(n, p)
 
-    plan = stabilization_plan(A, C, config)
+    plan = stabilization_plan(A, C, config, system.tol_rank)
 
-    T = linalg.complete_row_basis(C, config.tol_rank)
+    T = linalg.complete_row_basis(C, system.tol_rank)
     X = coupling_matrix(T, phi, lam)
 
     L = X - plan.K

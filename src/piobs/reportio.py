@@ -5,6 +5,7 @@ written with 17 significant digits, which round-trips IEEE doubles exactly
 and makes reports byte-identical across runs with the same inputs and seed.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -71,9 +72,18 @@ def dumps_doc(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__} to a report document")
 
 
+@contextlib.contextmanager
+def path_errors(path, verb):
+    """Turn an OSError raised in the block into an :class:`InputError`: cannot <verb> <path>."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def write_doc(doc, path):
     text = dumps_doc(doc) + "\n"  # serialized first: a failure leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
+    with path_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -132,10 +142,8 @@ def matrix_from_doc(doc, key):
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with path_errors(path, "read"), open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -176,7 +184,7 @@ def _config_to_doc(observer):
         "lambda": matrix_to_doc(observer.lambda_block)
         if observer.lambda_block.size else [],
         "margin": cfg.margin,
-        "tol_rank": cfg.tol_rank,
+        "tol_rank": observer.system.tol_rank,
         "tol_eig": cfg.tol_eig,
         "seed": cfg.seed,
     }
@@ -225,15 +233,15 @@ def design_report_doc(observer, verification):
     }
 
 
-def infeasible_report_doc(system, witnesses, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """The report of a design refused as undetectable at rank tolerance ``tol_rank``."""
+def infeasible_report_doc(system, witnesses):
+    """The report of a design refused as undetectable at ``system.tol_rank``."""
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
         "system": _system_header(system),
         "verdict": "infeasible",
         "witnesses": spectrum_to_doc(witnesses),
-        "tolerances": {"tol_rank": tol_rank},
+        "tolerances": {"tol_rank": system.tol_rank},
     }
 
 
@@ -298,7 +306,7 @@ def observer_from_report(system, doc):
         target_poles=assigned or None,
         phi=matrix_from_doc(cfg, "phi"),
         lambda_block=lam,
-        **{key: cfg[key] for key in ("margin", "tol_rank", "tol_eig", "seed") if key in cfg},
+        **{key: cfg[key] for key in ("margin", "tol_eig", "seed") if key in cfg},
     )
     return PiObserver(
         system=system,
@@ -317,11 +325,11 @@ def observer_from_report(system, doc):
 # Analysis and verification documents
 
 
-def analysis_report_doc(system, tol_rank=linalg.DEFAULT_TOL_RANK):
-    """Run the structural analysis of a system and assemble its document."""
+def analysis_report_doc(system):
+    """Run the structural analysis of a system at its ``tol_rank`` and assemble its document."""
     A, C = system.A, system.C
-    verdict = analysis.is_detectable(A, C, tol_rank)
-    dec = analysis.kalman_decompose(A, C, tol_rank)
+    verdict = analysis.is_detectable(A, C, system.tol_rank)
+    dec = analysis.kalman_decompose(A, C, system.tol_rank)
     q = dec.q
     doc = {
         "format": ANALYSIS_FORMAT,
@@ -340,7 +348,7 @@ def analysis_report_doc(system, tol_rank=linalg.DEFAULT_TOL_RANK):
         "observable": q == system.n,
         "observable_dimension": q,
         "witnesses": spectrum_to_doc(verdict.witnesses),
-        "tolerances": {"tol_rank": tol_rank},
+        "tolerances": {"tol_rank": system.tol_rank},
     }
     if q < system.n:
         recon = float(np.max(np.abs(dec.reconstruct() - A)))

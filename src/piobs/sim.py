@@ -272,23 +272,22 @@ def fit_decay_rate(trace):
 
     Returns ``(rate, scale)`` fitting norm(k) ~ scale * rate**k. The fit stops
     at the first sample at or below the floor: once the error reaches the
-    rounding floor it stops following the observer dynamics. The floor is
-    the larger of an eps bound scaled to the plant state and ten times the
-    tail median (the noise plateau left by large observer gains); the median
-    is the mean of the tail's two middle entries after one ``np.partition``
-    (see :func:`_median`), equal to ``np.median`` bit for bit. Returns
-    (nan, nan) when fewer than two usable points remain.
+    rounding floor it stops following the observer dynamics. The floor at
+    step k is the larger of 100 eps max(1, ||x(k)||_inf), scaled to the plant
+    state step by step as convergence is, and ten times the tail median (the
+    noise plateau left by large observer gains); the median is the mean of
+    the tail's two middle entries after one ``np.partition`` (see
+    :func:`_median`), equal to ``np.median`` bit for bit. Returns (nan, nan)
+    when fewer than two usable points remain.
     """
     norms = np.maximum(trace.err_inf, trace.v_inf)
     ks = np.arange(_FIT_START, norms.size)
     vals = norms[_FIT_START:]
     if vals.size == 0:
         return float("nan"), float("nan")
-    x_max = max(1.0, float(trace.x.max()), -float(trace.x.min()))
-    eps_floor = 100.0 * np.finfo(float).eps * x_max
+    eps_floor = 100.0 * np.finfo(float).eps * np.maximum(1.0, _row_max_abs(trace.x[_FIT_START:]))
     tail = vals[-max(5, vals.size // 10):]
-    floor = max(eps_floor, 10.0 * float(_median(tail)))
-    below = vals <= floor
+    below = vals <= np.maximum(eps_floor, 10.0 * float(_median(tail)))
     cut = int(np.argmax(below)) if below.any() else vals.size
     if cut < 2:
         return float("nan"), float("nan")

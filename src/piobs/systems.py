@@ -12,8 +12,9 @@ from .errors import DimensionError, InputError, RankDeficiencyError
 class SystemRealization:
     """State-space realization (A, B, C) with n states, m inputs, p outputs.
 
-    The output matrix C must have full row rank p; the constructor enforces
-    this because the whole observer construction rests on it. ``name`` is a
+    The output matrix C must have full row rank p at ``tol_rank``, the rank
+    tolerance of every design of this system; the constructor enforces this
+    because the whole observer construction rests on it. ``name`` is a
     string, or None for a system file whose name is null. Arrays are stored
     read-only, so instances are safe to share across threads.
     """

@@ -614,7 +614,7 @@ class TestBatch:
 
     def test_bad_tol_rank_is_refused_once_before_any_design(self, tmp_path, worked_file,
                                                             undetectable_file, capsys):
-        # the rule DesignConfig applies is the one numerical_rank applies per file
+        # the CLI checks the flag once, by the rule numerical_rank applies per file
         out_dir = tmp_path / "r"
         assert cli.main(["batch", worked_file, undetectable_file, "--tol-rank", "nan",
                          "--out-dir", str(out_dir)]) == 3
@@ -632,6 +632,42 @@ class TestBatch:
         assert captured.err == "piobs: error: margin must be in [0, 1), got nan\n"
         assert captured.out == ""
         assert not out_dir.exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error naming it: exit 3
+    with one error line, no traceback, and no file left behind."""
+
+    @pytest.mark.parametrize("command", ["analyze", "design", "verify", "simulate", "batch"])
+    def test_exits_3_naming_the_path(self, tmp_path, worked_file, capsys, command):
+        report = design_worked(tmp_path, worked_file)
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        out = tmp_path / "missing" / "out"
+        argv = {"analyze": ["analyze", worked_file, "--out", str(out)],
+                "design": ["design", worked_file, "--out", str(out)],
+                "verify": ["verify", worked_file, report, "--out", str(out)],
+                "simulate": ["simulate", worked_file, report, "--out", str(out)],
+                "batch": ["batch", worked_file, "--out-dir", str(blocker / "reports")]}[command]
+        target = blocker / "reports" if command == "batch" else out
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"piobs: error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert not out.parent.exists() and blocker.read_text() == ""
+
+    def test_batch_reports_3_for_a_report_it_cannot_write_and_goes_on(
+            self, tmp_path, worked_file, undetectable_file, capsys):
+        out_dir = tmp_path / "reports"
+        (out_dir / "worked.report.json").mkdir(parents=True)
+        argv = ["batch", worked_file, undetectable_file, "--out-dir", str(out_dir)]
+        assert cli.main(argv) == 3
+        out = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert out[0].startswith(
+            f"[3] {worked_file}: error: cannot write {out_dir / 'worked.report.json'}: ")
+        assert out[1] == f"[2] {undetectable_file}: infeasible"
+        assert (out_dir / "undetectable.report.json").exists()
 
 
 class TestTolRankBelowMachineEpsilon:

@@ -125,8 +125,9 @@ class TestDesignReports:
             del doc["config"][key]
         config = reportio.observer_from_report(system, doc).config
         default = DesignConfig()
-        assert (config.margin, config.tol_rank, config.tol_eig, config.seed) == (
-            default.margin, default.tol_rank, default.tol_eig, default.seed)
+        assert (config.margin, config.tol_eig, config.seed) == (
+            default.margin, default.tol_eig, default.seed)
+        assert reportio.report_tol_rank(doc) == system.tol_rank  # the default
 
     def test_null_name_reads_back_as_null(self, tmp_path):
         path = tmp_path / "sys.json"

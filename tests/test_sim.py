@@ -362,6 +362,19 @@ class TestErrorDynamics:
             if np.isfinite(rate):
                 assert rate <= radius + 0.05
 
+    def test_decay_fit_on_an_unstable_plant_follows_the_observer(self):
+        # The plant state reaches ~5.6e11 by step 200, the augmented spectral
+        # radius is 0.5. A floor taken from the largest state of the whole run
+        # cut the fit off at its first sample; one scaled per step does not.
+        system = reportio.load_system(DATA / "observable5.system.json")
+        observer = reportio.observer_from_report(
+            system, reportio.load_report(DATA / "observable5.design-seed5.json"))
+        trace = run_simulation(system, observer, SimulationConfig(
+            horizon=200, input_signal=RandomInput(seed=5)))
+        assert max(abs(z) for z in verify_radius(observer)) == pytest.approx(0.5)
+        rate, _ = fit_decay_rate(trace)
+        assert abs(rate - 0.5) <= 0.01
+
 
 class TestMedian:
     @pytest.mark.parametrize("size", [1, 2, 5, 6, 49, 50, 499, 500])
