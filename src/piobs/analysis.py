@@ -17,11 +17,6 @@ from .errors import DimensionError, InputError, NumericalError, RankDeficiencyEr
 BOUNDARY_TOL = 1e-9
 #: Eigenvalues closer than this are treated as one value for PBH purposes.
 CLUSTER_TOL = 1e-7
-#: Staircase cut over tol_rank for the directions of C / ||C||_2, and over
-#: tol_rank * max(1, ||A||_2) for the later couplings, blocks of A. On the
-#: benchmark plants the dropped values reach 19 and the kept ones stay above
-#: 2.7e5.
-STAIRCASE_SCALE = 100.0
 
 
 @dataclass(frozen=True)
@@ -219,7 +214,7 @@ def observability_staircase(A, C, tol_rank):
     """q and an orthogonal T_k from the observability staircase (Van Dooren 1981).
 
     The controllability staircase of (A^T, C^T): SVDs split off the directions
-    that C / ||C||_2 sees above ``STAIRCASE_SCALE * tol_rank``, then those
+    that C / ||C||_2 sees above ``linalg.STAIRCASE_SCALE * tol_rank``, then those
     that the coupling to the block split off last, a block of A, sees above
     ``STAIRCASE_SCALE * tol_rank * max(1, ||A||_2)``, until none is left. The
     scale of the outputs does not change q, so C enters normalized; the scale
@@ -230,7 +225,7 @@ def observability_staircase(A, C, tol_rank):
     linalg.check_tol_rank(tol_rank)
     n = A.shape[0]
     C = C / (np.linalg.norm(C, 2) or 1.0)
-    cut = STAIRCASE_SCALE * tol_rank
+    cut = linalg.STAIRCASE_SCALE * tol_rank
     coupling_cut = cut * max(1.0, np.linalg.norm(A, 2))
     T_k, At = np.eye(n), A.copy()
     q, coupling = 0, C

@@ -3,11 +3,13 @@
 The pipeline: check detectability, compute an output-injection gain K that
 makes A + KC Schur stable (pole placement on the observable block, accepted
 by the eigenvalues it achieves; the filter Riccati gain when the default
-poles cannot be placed), complete C to a nonsingular basis T, build the
-coupling matrix X from a chosen Schur-stable phi and a free block, and read
-off the observer gains L = X - K and F = -(A - LC) X + X (-C X + I). The
-augmented error/integrator matrix is then similar to block-triangular
-[[A + KC, 0], [-C, phi]], which is what :func:`verify_design` checks.
+poles cannot be placed), pick p pivot columns of C, complete C to a
+nonsingular T with identity rows at the other columns and solve on the
+pivots for the coupling matrix X of a chosen Schur-stable phi and a free
+block (one call, :func:`coupling_matrix`), and read off the observer gains
+L = X - K and F = -(A - LC) X + X (-C X + I). The augmented error/integrator
+matrix is then similar to block-triangular [[A + KC, 0], [-C, phi]], which
+is what :func:`verify_design` checks.
 """
 
 import numbers
@@ -17,11 +19,11 @@ import numpy as np
 
 from . import analysis, linalg
 from .errors import (
-    DimensionError,
     InputError,
     NotDetectableError,
     NotObservableError,
     NumericalError,
+    RankDeficiencyError,
     SingularMatrixError,
 )
 from .systems import SystemRealization
@@ -41,6 +43,8 @@ PHI_IDENTITY_TOL = 1e-10
 SIMILARITY_TOL = 1e-8
 #: Random draws of the Sylvester placement per search.
 SYLVESTER_ATTEMPTS = 8
+#: Relative pivot threshold of the basis completion (see :func:`coupling_matrix`).
+PIVOT_RELAX = 0.25
 
 
 def default_target_poles(count):
@@ -404,27 +408,40 @@ def stabilization_plan(A, C, config=None, tol_rank=linalg.DEFAULT_TOL_RANK):
     return GainPlan(K=K, q=q, assigned_poles=targets, inherited_poles=inherited)
 
 
-def coupling_matrix(T, phi, lambda_block=None):
-    """The coupling matrix X solving T X = [I - phi; lambda], in closed form.
+def coupling_matrix(C, phi, lambda_block=None, tol_rank=linalg.DEFAULT_TOL_RANK):
+    """The completion T of C and the coupling matrix X solving T X = [I - phi; lambda].
 
-    T must stack C on distinct rows of the identity at the free columns f
-    (:func:`linalg.complete_row_basis`), else :class:`InputError`. Then
-    X[f] = lambda exactly, and C_P X[P] = I - phi - C_f lambda on the pivot
-    columns P is one p x p solve, refined once (:class:`SingularMatrixError`
-    when C_P is exactly singular). So -C X + I = phi, the identity that
-    decouples the integral loop.
+    The rank of C (p x n) is :func:`linalg.numerical_rank`'s, the loader's
+    rule: below p it is a :class:`RankDeficiencyError`. The pivot columns P
+    come from the right singular vectors ``V^T[:p]`` of C by column-pivoted
+    Gram-Schmidt (Golub, Klema & Stewart 1976): each step takes the leftmost
+    column whose residual norm is at least ``PIVOT_RELAX`` times the largest
+    and removes its direction from the rest. The comparison has a slack of
+    8 ulp, so an exact tie such as ``C = [[1, 4]]`` goes to the leftmost
+    column whatever the last bit of the SVD. T stacks C on the rows of the
+    identity at the free columns f, so ``[I_p, 0] @ T == C`` exactly. Then
+    X[f] = lambda exactly, and C_P X[P] = I - phi - C_f lambda is one p x p
+    solve, refined once (:class:`SingularMatrixError` when C_P is exactly
+    singular). So -C X + I = phi, the identity that decouples the integral
+    loop; how well C_P is conditioned is left to the phi-identity check of a
+    design.
     """
-    T = linalg.as_square(T, "T")
-    phi = linalg.as_square(phi, "phi")
-    n, p = T.shape[0], phi.shape[0]
-    if p > n:
-        raise DimensionError(f"phi is {p}x{p} but T is only {n}x{n}")
+    C = linalg.as_matrix(C, "C")
+    p, n = C.shape
+    rank = linalg.numerical_rank(C, tol_rank)
+    if rank < p:
+        raise RankDeficiencyError(f"C must have full row rank {p}, got numerical rank {rank}")
+    phi = linalg.as_shaped(phi, (p, p), "phi")
     lam = DesignConfig(lambda_block=lambda_block).resolved_lambda(n, p)
-    C, free = T[:p], T[p:].argmax(axis=1)
-    pivots = np.ones(n, dtype=bool)
-    pivots[free] = False
-    if pivots.sum() != p or not np.array_equal(T[p:], np.eye(n)[free]):
-        raise InputError("T must stack C on distinct rows of the identity")
+    W = np.linalg.svd(C, full_matrices=False)[2]
+    pivots = np.zeros(n, dtype=bool)
+    for _ in range(p):
+        norms = np.linalg.norm(W, axis=0)
+        j = int(np.argmax(norms >= PIVOT_RELAX * norms.max() * (1.0 - 8.0 * linalg.MACHINE_EPS)))
+        w = W[:, j] / norms[j]
+        W = W - np.outer(w, w @ W)
+        pivots[j] = True
+    free = ~pivots
     X = np.empty((n, p))
     X[free] = lam
     try:
@@ -433,7 +450,7 @@ def coupling_matrix(T, phi, lambda_block=None):
         X[pivots] += np.linalg.solve(C[:, pivots], np.eye(p) - phi - C @ X)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"coupling solve failed: C_P is singular: {exc}") from exc
-    return X
+    return np.vstack([C, np.eye(n)[free]]), X
 
 
 def augmented_matrix(system, L, F):
@@ -615,8 +632,7 @@ def design_pi_observer(system, config=None):
 
     plan = stabilization_plan(A, C, config, system.tol_rank)
 
-    T = linalg.complete_row_basis(C, system.tol_rank)
-    X = coupling_matrix(T, phi, lam)
+    T, X = coupling_matrix(C, phi, lam, system.tol_rank)
 
     L = X - plan.K
     F = -(A - L @ C) @ X + X @ (-C @ X + np.eye(p))

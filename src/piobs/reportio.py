@@ -144,7 +144,7 @@ def _load_json(path):
     try:
         with path_errors(path, "read"), open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes not UTF-8
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -326,11 +326,17 @@ def observer_from_report(system, doc):
 
 
 def analysis_report_doc(system):
-    """Run the structural analysis of a system at its ``tol_rank`` and assemble its document."""
+    """Run the structural analysis of a system at its ``tol_rank`` and assemble its document.
+
+    A detectable pair whose PBH verdict and q disagree is a
+    :class:`NumericalError`, as in a design.
+    """
     A, C = system.A, system.C
     verdict = analysis.is_detectable(A, C, system.tol_rank)
     dec = analysis.kalman_decompose(A, C, system.tol_rank)
     q = dec.q
+    if verdict:
+        analysis.observability_verdict(verdict.classifications, q)
     doc = {
         "format": ANALYSIS_FORMAT,
         "version": FORMAT_VERSION,

@@ -141,3 +141,18 @@ def random_integer_pair(rng, n, p, span=3):
             if diffs.min() < 1e-5:
                 continue
         return A, C
+
+
+def weakly_observed_hidden_block():
+    """A 4-state pair (A, C) whose hidden 2-state block C sees at about 2.5e-8.
+
+    That is above the PBH tolerance and below the staircase cut: PBH calls the
+    pair observable while q = 2, so its observability is numerically ambiguous.
+    """
+    rng = np.random.default_rng(334)
+    eps = 10 ** rng.uniform(-8.5, -6.5)
+    A = np.block([[np.array([[0.9, 0.3], [0.0, -0.5]]), np.zeros((2, 2))],
+                  [3 * rng.standard_normal((2, 2)), np.diag([0.8, -0.7])]])
+    C = np.array([[1.0, 0.2, 0.0, 0.0], [1.0, 0.2, *(eps * rng.standard_normal(2))]])
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    return Q @ A @ Q.T, C @ Q.T

@@ -166,7 +166,7 @@ class TestObservabilityStaircase:
                 continue
             A, C = plant.A, plant.C
             q, T_k = analysis.observability_staircase(A, C, linalg.DEFAULT_TOL_RANK)
-            cut = analysis.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
+            cut = linalg.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
                 1.0, np.linalg.norm(A, 2))
             assert np.abs(T_k.T @ T_k - np.eye(plant.n)).max() <= 1e-13
             assert np.linalg.norm(T_k[:, :q].T @ A @ T_k[:, q:], 2) <= cut
@@ -187,10 +187,14 @@ class TestObservabilityStaircase:
 
 
 class TestKalmanDecomposition:
-    def test_tolerance_that_cuts_every_direction_of_c_is_a_numerical_error(self):
-        # The first cut, 100 * tol_rank = 50, exceeds the unit norm of the scaled C.
-        with pytest.raises(NumericalError, match="observable subspace is empty"):
+    def test_tolerance_that_cuts_every_direction_of_c_is_an_input_error(self):
+        # The first cut, 100 * tol_rank = 50, would exceed the unit norm of the scaled C.
+        with pytest.raises(InputError, match="tol_rank must be below 0.01"):
             analysis.kalman_decompose(np.diag([0.5, 0.2]), [[1.0, 1.0]], tol_rank=0.5)
+
+    def test_zero_c_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="C is numerically zero"):
+            analysis.kalman_decompose(np.diag([0.5, 0.2]), [[0.0, 0.0]])
 
     def test_pair_with_mismatched_columns_is_a_dimension_error(self):
         with pytest.raises(DimensionError, match="C has 3 columns, expected n=2"):

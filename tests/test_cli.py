@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import gen_systems as gen
 from piobs import cli, design, linalg, reportio
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -711,3 +712,83 @@ class TestTolRankBelowMachineEpsilon:
         assert cli.main(["verify", tiny_file, str(report), "--out", str(out)]) == 3
         assert "tol_rank must be at least machine epsilon" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFileThatIsNotUtf8:
+    """Bytes that are not UTF-8 are a bad file like any other: exit 3 with one
+    error line naming the file, not a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("role", ["system", "report", "phi-file"])
+    def test_exits_3_naming_the_file(self, tmp_path, worked_file, capsys, role):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        argv = {"system": ["analyze", str(bad)],
+                "report": ["verify", worked_file, str(bad)],
+                "phi-file": ["design", worked_file, "--phi-file", str(bad)]}[role]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"piobs: error: {bad}: ")
+        assert err.count("\n") == 1
+
+
+class TestAmbiguousPair:
+    """``gen.weakly_observed_hidden_block``: PBH calls the pair observable while
+    the staircase gives q = 2 of 4. ``analyze`` refuses it
+    as ``design`` does rather than print both verdicts."""
+
+    @pytest.fixture
+    def ambiguous_file(self, tmp_path):
+        A, C = gen.weakly_observed_hidden_block()
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps({"A": A.tolist(), "B": [[1.0]] * 4, "C": C.tolist()}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "design"])
+    def test_exits_4_and_writes_nothing(self, tmp_path, ambiguous_file, capsys, command):
+        out = tmp_path / "out.json"
+        assert cli.main([command, ambiguous_file, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("piobs: error: observability is numerically ambiguous")
+        assert "observable: no" not in captured.out
+        assert not out.exists()
+
+
+class TestTolRankAtTheStaircaseBound:
+    """From tol_rank = 0.01 on, the staircase's first cut, 100 tol_rank, reaches
+    the unit norm of the scaled C, so no design could succeed. Every command
+    refuses such a tol_rank as an input error naming the bound."""
+
+    MESSAGE = "tol_rank must be below 0.01"
+
+    @pytest.fixture
+    def pair_file(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text('{"A": [[0.5, 1.0], [0.0, 0.2]], "B": [[0.0], [1.0]], '
+                        '"C": [[1.0, 0.0]]}')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "design"])
+    def test_exits_3(self, tmp_path, pair_file, capsys, command):
+        out = tmp_path / "out.json"
+        assert cli.main([command, pair_file, "--tol-rank", "0.05", "--out", str(out)]) == 3
+        assert self.MESSAGE in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_refuses_once_before_any_design(self, tmp_path, pair_file, worked_file,
+                                                  capsys):
+        out_dir = tmp_path / "reports"
+        assert cli.main(["batch", pair_file, worked_file, "--tol-rank", "0.05",
+                         "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count(self.MESSAGE) == 1 and captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_report_at_that_tol_rank_exits_3(self, tmp_path, pair_file, capsys, command):
+        report = tmp_path / "report.json"
+        assert cli.main(["design", pair_file, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["config"]["tol_rank"] = 0.05
+        report.write_text(json.dumps(doc))
+        assert cli.main([command, pair_file, str(report)]) == 3
+        assert self.MESSAGE in capsys.readouterr().err

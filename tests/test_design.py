@@ -309,40 +309,130 @@ class TestRiccatiGain:
             design_pi_observer(system, explicit)
 
 
+def completion(C, tol_rank=linalg.DEFAULT_TOL_RANK):
+    """The basis completion T of ``C``: the first output of :func:`coupling_matrix`."""
+    return coupling_matrix(C, 0.5 * np.eye(len(C)), tol_rank=tol_rank)[0]
+
+
+class TestBasisCompletion:
+    """The T that :func:`coupling_matrix` completes C to, through :func:`completion`."""
+
+    def test_pivot_in_first_column(self):
+        T = completion([[1.0, 0.0]])
+        assert np.array_equal(T, np.eye(2))
+
+    def test_pivot_in_second_column(self):
+        T = completion([[0.0, 1.0]])
+        assert np.array_equal(T, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_unit_determinant_completion(self):
+        T = completion([[1.0, 2.0]])
+        assert np.array_equal(T, [[1.0, 2.0], [0.0, 1.0]])
+        assert np.linalg.det(T) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("C, free", [
+        ([[1.0, 4.0]], [[0.0, 1.0]]),
+        ([[-1.0, 4.0]], [[0.0, 1.0]]),
+        ([[4.0, 1.0]], [[0.0, 1.0]]),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 4.0]], [[0.0, 0.0, 1.0]]),
+    ])
+    def test_exact_relax_tie_goes_to_the_leftmost_column(self, C, free):
+        # |c_j| = PIVOT_RELAX |c_k| exactly: the pivot is column j whatever
+        # the last bit of the singular vectors.
+        assert np.array_equal(completion(C)[len(C):], free)
+
+    def test_random_completions_satisfy_invariants(self, rng):
+        basis_rows = set(map(tuple, np.eye(8)))
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            p = int(rng.integers(1, n + 1))
+            C = rng.standard_normal((p, n))
+            T = completion(C)
+            assert np.array_equal(T[:p], C)
+            assert linalg.numerical_rank(T) == n
+            for row in T[p:]:
+                assert tuple(np.pad(row, (0, 8 - n))) in basis_rows
+
+    def test_rank_deficient_input_rejected(self):
+        with pytest.raises(RankDeficiencyError):
+            completion([[1.0, 2.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("tol_rank", [-1.0, float("nan"), 0.0, 5.0, 1e-300])
+    def test_bad_tol_rank_is_an_input_error(self, tol_rank):
+        # Not a singular T "completed" from the rank-1 C, and not a rank
+        # verdict reached at a tolerance that is itself out of range.
+        with pytest.raises(InputError, match="tol_rank") as info:
+            completion([[1.0, 2.0], [2.0, 4.0]], tol_rank)
+        assert not isinstance(info.value, RankDeficiencyError)
+
+    def test_pivots_depend_only_on_the_row_space(self, rng):
+        # The pivots come from an orthonormal basis of the row space of C,
+        # so C and M C, for an invertible M, leave the same free rows.
+        for _ in range(50):
+            n = int(rng.integers(2, 13))
+            p = int(rng.integers(1, n + 1))
+            C = rng.standard_normal((p, n))
+            M = (np.linalg.qr(rng.standard_normal((p, p)))[0]
+                 @ np.diag(rng.uniform(0.5, 2.0, p)) @ np.linalg.qr(rng.standard_normal((p, p)))[0])
+            assert np.array_equal(completion(C)[p:], completion(M @ C)[p:])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    @pytest.mark.parametrize("ratio, full", [(1.001e-9, True), (0.999e-9, False)])
+    def test_completion_takes_the_rank_rule_of_the_loader(self, scale, ratio, full):
+        # sigma_3 / sigma_1 just above and just below tol_rank = 1e-9: the
+        # loader and the completion accept C together or refuse it together,
+        # whatever the scale of C.
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((7, 3)))[0]
+        C = scale * U @ np.diag([1.0, 0.3, ratio]) @ V.T
+
+        def accepts(build):
+            try:
+                build()
+            except RankDeficiencyError:
+                return False
+            return True
+
+        assert accepts(lambda: SystemRealization(np.eye(7), np.zeros((7, 1)), C)) is full
+        assert accepts(lambda: completion(C)) is full
+
+
 class TestCouplingMatrix:
     def test_identity_basis(self):
-        X = coupling_matrix(np.eye(2), [[0.5]], [[0.0]])
+        X = coupling_matrix([[1.0, 0.0]], [[0.5]], [[0.0]])[1]
         assert X == pytest.approx(np.array([[0.5], [0.0]]))
 
     def test_scalar_case_without_free_block(self):
-        X = coupling_matrix(np.eye(1), [[0.3]])
+        X = coupling_matrix(np.eye(1), [[0.3]])[1]
         assert X == pytest.approx(np.array([[0.7]]))
 
     def test_permutation_basis(self):
-        X = coupling_matrix([[0.0, 1.0], [1.0, 0.0]], [[0.5]], [[0.2]])
+        X = coupling_matrix([[0.0, 1.0]], [[0.5]], [[0.2]])[1]
         assert X == pytest.approx(np.array([[0.2], [0.5]]))
 
-    def test_singular_pivot_block_rejected(self):
-        # T = [C; e_0]: the pivot column of C = [1, 0] is the zero column 1.
-        with pytest.raises(SingularMatrixError, match="C_P is singular"):
-            coupling_matrix([[1.0, 0.0], [1.0, 0.0]], [[0.5]], [[0.0]])
+    def test_singular_pivot_block_rejected(self, monkeypatch):
+        # The rank rule keeps an exactly singular C_P out, so the solver's
+        # LinAlgError is forced here; it surfaces as SingularMatrixError.
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-    @pytest.mark.parametrize("T", [[[1.0, 1.0], [1.0, 1.0]],
-                                   [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
-                                   [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]])
-    def test_basis_that_is_not_a_completion_rejected(self, T):
-        with pytest.raises(InputError, match="distinct rows of the identity"):
-            coupling_matrix(T, [[0.5]])
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularMatrixError, match="C_P is singular"):
+            coupling_matrix([[1.0, 0.0]], [[0.5]], [[0.0]])
+
+    def test_more_outputs_than_states_is_rank_deficient(self):
+        with pytest.raises(RankDeficiencyError, match="full row rank 2, got numerical rank 1"):
+            coupling_matrix([[1.0], [2.0]], 0.5 * np.eye(2))
 
     def test_free_rows_take_lambda_exactly(self, rng):
         for _ in range(40):
             n = int(rng.integers(1, 13))
             p = int(rng.integers(1, n + 1))
             C = rng.standard_normal((p, n))
-            T = linalg.complete_row_basis(C)
             lam = rng.standard_normal((n - p, p))
             phi = 0.5 * np.eye(p) + 0.1 * rng.standard_normal((p, p))
-            X = coupling_matrix(T, phi, lam)
+            T, X = coupling_matrix(C, phi, lam)
             assert np.array_equal(X[T[p:].argmax(axis=1)], lam)
             assert np.abs(-C @ X + np.eye(p) - phi).max() <= 1e-12
             Y = np.linalg.solve(T, np.vstack([np.eye(p) - phi, lam]))
@@ -351,7 +441,11 @@ class TestCouplingMatrix:
 
     def test_bad_lambda_shape_rejected(self):
         with pytest.raises(DimensionError):
-            coupling_matrix(np.eye(2), [[0.5]], [[0.1, 0.2]])
+            coupling_matrix([[1.0, 0.0]], [[0.5]], [[0.1, 0.2]])
+
+    def test_phi_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionError, match="phi must be 1x1"):
+            coupling_matrix([[1.0, 0.0]], np.eye(2))
 
 
 class TestDesignPipeline:
@@ -483,7 +577,7 @@ class TestDesignPipeline:
         C = np.array(case["C"])
         p, n = C.shape
         system = SystemRealization(0.5 * np.eye(n), np.zeros((n, 1)), C)
-        assert np.array_equal(linalg.complete_row_basis(C)[:p], C)
+        assert np.array_equal(completion(C)[:p], C)
         try:
             design_pi_observer(system)
         except NumericalError as exc:
@@ -520,7 +614,7 @@ class TestDesignPipeline:
                 dec = analysis.kalman_decompose(A, C)
                 assert dec.q == 2
                 sigma = np.linalg.svd(C, compute_uv=False)
-                cut = analysis.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
+                cut = linalg.STAIRCASE_SCALE * linalg.DEFAULT_TOL_RANK * max(
                     1.0, np.linalg.norm(A, 2))
                 for poles in (None, (0.1, -0.2)):
                     try:
@@ -542,13 +636,7 @@ class TestDesignPipeline:
         # tolerance, below the staircase cut. PBH calls the pair observable
         # while q = 2, so the design is refused; inheriting that block would
         # report poles that A + KC misses by 1.1e-6.
-        rng = np.random.default_rng(334)
-        eps = 10 ** rng.uniform(-8.5, -6.5)
-        A = np.block([[np.array([[0.9, 0.3], [0.0, -0.5]]), np.zeros((2, 2))],
-                      [3 * rng.standard_normal((2, 2)), np.diag([0.8, -0.7])]])
-        C = np.array([[1.0, 0.2, 0.0, 0.0], [1.0, 0.2, *(eps * rng.standard_normal(2))]])
-        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        A, C = Q @ A @ Q.T, C @ Q.T
+        A, C = gen.weakly_observed_hidden_block()
         assert analysis.observable_dimension(A, C) == 2
         assert all(c.observable for c in analysis.classify_eigenvalues(A, C))
         with pytest.raises(NumericalError, match="numerically ambiguous"):

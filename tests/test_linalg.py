@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from piobs import SystemRealization, analysis, linalg
-from piobs.errors import (
-    DimensionError,
-    InputError,
-    RankDeficiencyError,
-)
+from piobs import analysis, linalg
+from piobs.errors import DimensionError, InputError
 
 
 class TestEigenvalues:
@@ -76,6 +72,16 @@ class TestNumericalRank:
         with pytest.raises(InputError, match="at least machine epsilon"):
             linalg.numerical_rank(np.eye(2), tol_rank=tol_rank)
 
+    @pytest.mark.parametrize("tol_rank", [0.01, 0.05, 0.5, 0.999])
+    def test_rejects_tolerance_where_the_staircase_cuts_all_of_c(self, tol_rank):
+        # the first cut, STAIRCASE_SCALE * tol_rank, reaches the unit norm of the scaled C
+        with pytest.raises(InputError, match="tol_rank must be below 0.01"):
+            linalg.numerical_rank(np.eye(2), tol_rank=tol_rank)
+
+    def test_accepts_the_largest_tolerance_below_the_bound(self):
+        tol_rank = np.nextafter(1.0 / linalg.STAIRCASE_SCALE, 0.0)
+        assert linalg.numerical_rank(np.eye(2), tol_rank=tol_rank) == 2
+
     def test_accepts_machine_epsilon(self):
         assert linalg.numerical_rank(np.eye(2), tol_rank=np.finfo(float).eps) == 2
 
@@ -113,89 +119,6 @@ class TestSingularValues:
         oracle = scipy.linalg.svdvals(M)
         assert np.array_equal(np.linalg.svd(M, compute_uv=False), oracle)
         assert linalg.numerical_rank(M) == np.count_nonzero(oracle > 1e-9 * oracle[0])
-
-
-class TestCompleteRowBasis:
-    def test_pivot_in_first_column(self):
-        T = linalg.complete_row_basis([[1.0, 0.0]])
-        assert np.array_equal(T, np.eye(2))
-
-    def test_pivot_in_second_column(self):
-        T = linalg.complete_row_basis([[0.0, 1.0]])
-        assert np.array_equal(T, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_unit_determinant_completion(self):
-        T = linalg.complete_row_basis([[1.0, 2.0]])
-        assert np.array_equal(T, [[1.0, 2.0], [0.0, 1.0]])
-        assert np.linalg.det(T) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("C, free", [
-        ([[1.0, 4.0]], [[0.0, 1.0]]),
-        ([[-1.0, 4.0]], [[0.0, 1.0]]),
-        ([[4.0, 1.0]], [[0.0, 1.0]]),
-        ([[1.0, 0.0, 0.0], [0.0, 1.0, 4.0]], [[0.0, 0.0, 1.0]]),
-    ])
-    def test_exact_relax_tie_goes_to_the_leftmost_column(self, C, free):
-        # |c_j| = PIVOT_RELAX |c_k| exactly: the pivot is column j whatever
-        # the last bit of the singular vectors.
-        assert np.array_equal(linalg.complete_row_basis(C)[len(C):], free)
-
-    def test_random_completions_satisfy_invariants(self, rng):
-        basis_rows = set(map(tuple, np.eye(8)))
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            p = int(rng.integers(1, n + 1))
-            C = rng.standard_normal((p, n))
-            T = linalg.complete_row_basis(C)
-            assert np.array_equal(T[:p], C)
-            assert linalg.numerical_rank(T) == n
-            for row in T[p:]:
-                assert tuple(np.pad(row, (0, 8 - n))) in basis_rows
-
-    def test_rank_deficient_input_rejected(self):
-        with pytest.raises(RankDeficiencyError):
-            linalg.complete_row_basis([[1.0, 2.0], [2.0, 4.0]])
-
-    @pytest.mark.parametrize("tol_rank", [-1.0, float("nan"), 0.0, 5.0, 1e-300])
-    def test_bad_tol_rank_is_an_input_error(self, tol_rank):
-        # Not a singular T "completed" from the rank-1 C, and not a rank
-        # verdict reached at a tolerance that is itself out of range.
-        with pytest.raises(InputError, match="tol_rank") as info:
-            linalg.complete_row_basis([[1.0, 2.0], [2.0, 4.0]], tol_rank)
-        assert not isinstance(info.value, RankDeficiencyError)
-
-    def test_pivots_depend_only_on_the_row_space(self, rng):
-        # The pivots come from an orthonormal basis of the row space of C,
-        # so C and M C, for an invertible M, leave the same free rows.
-        for _ in range(50):
-            n = int(rng.integers(2, 13))
-            p = int(rng.integers(1, n + 1))
-            C = rng.standard_normal((p, n))
-            M = (np.linalg.qr(rng.standard_normal((p, p)))[0]
-                 @ np.diag(rng.uniform(0.5, 2.0, p)) @ np.linalg.qr(rng.standard_normal((p, p)))[0])
-            assert np.array_equal(linalg.complete_row_basis(C)[p:],
-                                  linalg.complete_row_basis(M @ C)[p:])
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
-    @pytest.mark.parametrize("ratio, full", [(1.001e-9, True), (0.999e-9, False)])
-    def test_completion_takes_the_rank_rule_of_the_loader(self, scale, ratio, full):
-        # sigma_3 / sigma_1 just above and just below tol_rank = 1e-9: the
-        # loader and the completion accept C together or refuse it together,
-        # whatever the scale of C.
-        rng = np.random.default_rng(3)
-        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        V = np.linalg.qr(rng.standard_normal((7, 3)))[0]
-        C = scale * U @ np.diag([1.0, 0.3, ratio]) @ V.T
-
-        def accepts(build):
-            try:
-                build()
-            except RankDeficiencyError:
-                return False
-            return True
-
-        assert accepts(lambda: SystemRealization(np.eye(7), np.zeros((7, 1)), C)) is full
-        assert accepts(lambda: linalg.complete_row_basis(C)) is full
 
 
 class TestPolynomialsAndPairing:

@@ -16,16 +16,18 @@ normal ((n - p) x p) on odd cases, else zero, and phi = 0.5 I.
 With piobs from ``src/`` of the checkout at ``--root`` (default: this one)
 and BLAS pinned to one thread, each C is loaded as
 ``SystemRealization(0.5 I, 0, C)`` at the default ``tol_rank``; each one
-the loader accepts is completed by ``linalg.complete_row_basis`` and coupled
-by ``design.coupling_matrix``. Four figures are printed:
+the loader accepts is completed and coupled by one call,
+``design.coupling_matrix(C, phi, lam)``. Four figures are printed:
 
 * loader-accepted: the C that ``SystemRealization`` takes;
-* completion refusals: accepted C that ``complete_row_basis`` refuses;
+* completion refusals: accepted C that ``coupling_matrix`` calls rank
+  deficient;
 * phi-gate passes: completed C whose ``max|-C X + I - phi|`` is at most
   ``design.PHI_IDENTITY_TOL`` (1e-10), the design gate; a singular pivot
   block fails it;
 * cond(C_P) / cond(C): median, 99th percentile and maximum over the
-  completed C, C_P being the pivot columns of C.
+  coupled C, C_P being the pivot columns of C: those where the identity
+  rows of T are zero.
 
 ``--refused`` also lists each refused case (index, n, p, sigma_p/sigma_1).
 """
@@ -62,7 +64,7 @@ def run(root, list_refused):
         os.environ.setdefault(name, "1")
     sys.path.insert(0, str(Path(root).resolve() / "src"))
     import numpy as np
-    from piobs import RankDeficiencyError, SingularMatrixError, SystemRealization, design, linalg
+    from piobs import RankDeficiencyError, SingularMatrixError, SystemRealization, design
 
     accepted = refused = passed = 0
     ratios = []
@@ -72,22 +74,18 @@ def run(root, list_refused):
         except RankDeficiencyError:
             continue
         accepted += 1
+        phi = 0.5 * np.eye(p)
         try:
-            T = linalg.complete_row_basis(C)
+            T, X = design.coupling_matrix(C, phi, lam)
         except RankDeficiencyError:
             refused += 1
             if list_refused:
                 sv = np.linalg.svd(C, compute_uv=False)
                 print(f"refused: case {i} n={n} p={p} sigma_p/sigma_1={sv[-1] / sv[0]:.3e}")
             continue
-        pivots = np.ones(n, dtype=bool)
-        pivots[T[p:].argmax(axis=1)] = False
-        ratios.append(np.linalg.cond(C[:, pivots]) / np.linalg.cond(C))
-        phi = 0.5 * np.eye(p)
-        try:
-            X = design.coupling_matrix(T, phi, lam)
         except SingularMatrixError:
             continue
+        ratios.append(np.linalg.cond(C[:, ~T[p:].any(axis=0)]) / np.linalg.cond(C))
         passed += np.abs(-C @ X + np.eye(p) - phi).max() <= design.PHI_IDENTITY_TOL
     ratios = np.array(ratios)
     print(f"cases {CASES} (seed {SEED})")
